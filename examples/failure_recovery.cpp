@@ -123,8 +123,8 @@ int main() {
                   : "MISMATCH");
   const HealthMap::Counts counts = store.health().CountsFor(row_replica);
   std::printf("Self-healed: %zu partitions quarantined after repair "
-              "(%zu ok, %zu suspect).\n",
-              counts.quarantined, counts.ok, counts.suspect);
+              "(%zu ok).\n",
+              counts.quarantined, counts.ok);
 
   const bool healed = counts.quarantined == 0 &&
                       failed_over.result.records.size() == expected.size();

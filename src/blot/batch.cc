@@ -44,30 +44,34 @@ BatchResult ExecuteBatch(const Replica& replica,
   std::vector<std::vector<std::vector<Record>>> partial(
       work.size(), std::vector<std::vector<Record>>());
   std::vector<QueryStats> stats(work.size());
+  PartitionFaults faults(work.size());
   const auto scan_one = [&](std::size_t k) {
     const auto& [p, query_ids] = work[k];
-    bool hit = false;
-    const std::shared_ptr<const std::vector<Record>> records =
-        replica.CachedPartitionRecords(p, &hit);
-    stats[k].records_scanned = records->size();
-    stats[k].bytes_read = hit ? 0 : replica.partition(p).data.size();
-    if (use_cache) {
-      stats[k].cache_hits = hit ? 1 : 0;
-      stats[k].cache_misses = hit ? 0 : 1;
-    }
-    partial[k].resize(query_ids.size());
-    for (const Record& r : *records) {
-      const STPoint position = r.Position();
-      for (std::size_t j = 0; j < query_ids.size(); ++j)
-        if (queries[query_ids[j]].Contains(position))
-          partial[k][j].push_back(r);
-    }
+    faults.Run(k, p, [&] {
+      bool hit = false;
+      const std::shared_ptr<const std::vector<Record>> records =
+          replica.CachedPartitionRecords(p, &hit);
+      stats[k].records_scanned = records->size();
+      stats[k].bytes_read = hit ? 0 : replica.partition(p).data.size();
+      if (use_cache) {
+        stats[k].cache_hits = hit ? 1 : 0;
+        stats[k].cache_misses = hit ? 0 : 1;
+      }
+      partial[k].resize(query_ids.size());
+      for (const Record& r : *records) {
+        const STPoint position = r.Position();
+        for (std::size_t j = 0; j < query_ids.size(); ++j)
+          if (queries[query_ids[j]].Contains(position))
+            partial[k][j].push_back(r);
+      }
+    });
   };
   if (pool != nullptr) {
     pool->ParallelFor(work.size(), scan_one);
   } else {
     for (std::size_t k = 0; k < work.size(); ++k) scan_one(k);
   }
+  faults.ThrowIfAny(replica.config());
 
   result.stats.partitions_scanned = work.size();
   for (std::size_t k = 0; k < work.size(); ++k) {

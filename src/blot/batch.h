@@ -30,7 +30,9 @@ struct BatchResult {
 
 // Answers every query in `queries`, decoding each involved partition
 // exactly once (in parallel when `pool` is non-null). Result order
-// follows `queries`.
+// follows `queries`. Read faults are collected across every involved
+// partition and rethrown as one PartitionFaultError naming each failing
+// partition, exactly as Replica::Execute reports them.
 BatchResult ExecuteBatch(const Replica& replica,
                          std::span<const STRange> queries,
                          ThreadPool* pool = nullptr);

@@ -237,6 +237,23 @@ StoredPartition& Replica::MutablePartition(std::size_t i) {
   return partitions_[i];
 }
 
+void PartitionFaults::ThrowIfAny(const ReplicaConfig& replica) const {
+  std::vector<std::size_t> faulty;
+  std::string details;
+  for (const Fault& fault : faults_) {
+    if (fault.message.empty()) continue;
+    faulty.push_back(fault.partition);
+    details += " [p" + std::to_string(fault.partition) + ": " +
+               fault.message + "]";
+  }
+  if (faulty.empty()) return;
+  const std::string name = replica.Name();
+  throw PartitionFaultError("Replica " + name + ": read faults on " +
+                                std::to_string(faulty.size()) +
+                                " partition(s):" + details,
+                            name, std::move(faulty));
+}
+
 QueryResult Replica::Execute(const STRange& query, ThreadPool* pool,
                              obs::QueryProfile* profile) const {
   ScanOptions options;
@@ -309,18 +326,14 @@ QueryResult Replica::Execute(const STRange& query,
     double probe_ms = 0.0, decode_ms = 0.0, filter_ms = 0.0;
   };
   std::vector<PartitionTimes> times(profiling ? involved.size() : 0);
-  // Per-partition read faults land in `fault_messages` (empty string =
-  // healthy) rather than aborting the scan, so one bad storage unit does
-  // not hide the health of the rest and the store learns every failing
-  // partition in a single pass.
-  std::vector<std::string> fault_messages(involved.size());
+  PartitionFaults faults(involved.size());
   const auto scan_one = [&](std::size_t k) {
     const std::size_t p = involved[k];
     if (cancel != nullptr && cancel->ShouldStop()) {
       skipped[k] = 1;
       return;
     }
-    try {
+    faults.Run(k, p, [&] {
       if (use_cache) {
         bool hit = false;
         const std::uint64_t t0 = profiling ? obs::MonotonicNanos() : 0;
@@ -357,11 +370,7 @@ QueryResult Replica::Execute(const STRange& query,
         stats[k].records_scanned = partitions_[p].num_records;
         stats[k].bytes_read = partitions_[p].data.size();
       }
-    } catch (const CorruptData& e) {
-      fault_messages[k] = e.what();
-    } catch (const ReadError& e) {
-      fault_messages[k] = e.what();
-    }
+    });
   };
   // `workers` is the number of concurrent scan tasks; each walks the
   // involved list with stride `workers`, so the k-indexed merge below is
@@ -378,19 +387,7 @@ QueryResult Replica::Execute(const STRange& query,
     for (std::size_t k = 0; k < involved.size(); ++k) scan_one(k);
   }
 
-  std::vector<std::size_t> faulty;
-  for (std::size_t k = 0; k < involved.size(); ++k)
-    if (!fault_messages[k].empty()) faulty.push_back(involved[k]);
-  if (!faulty.empty()) {
-    std::string what = "Replica " + config_.Name() + ": read faults on " +
-                       std::to_string(faulty.size()) + " partition(s):";
-    for (std::size_t k = 0; k < involved.size(); ++k) {
-      if (fault_messages[k].empty()) continue;
-      what += " [p" + std::to_string(involved[k]) + ": " + fault_messages[k] +
-              "]";
-    }
-    throw PartitionFaultError(what, config_.Name(), std::move(faulty));
-  }
+  faults.ThrowIfAny(config_);
 
   // Coverage report: exact served/missed partition sets whenever the
   // scan was not complete (cancellation or exclusion).

@@ -39,30 +39,9 @@ bool HealthMap::Quarantine(std::size_t replica, std::size_t partition) {
           "HealthMap::Quarantine: bad target");
   PartitionHealth& state = states_[replica][partition];
   if (state == PartitionHealth::kQuarantined) return false;
-  if (state == PartitionHealth::kOk)
-    unhealthy_[replica]->fetch_add(1, std::memory_order_relaxed);
+  unhealthy_[replica]->fetch_add(1, std::memory_order_relaxed);
   state = PartitionHealth::kQuarantined;
   return true;
-}
-
-PartitionHealth HealthMap::MarkSuspect(std::size_t replica,
-                                       std::size_t partition) {
-  std::lock_guard lock(mutex_);
-  require(replica < states_.size() && partition < states_[replica].size(),
-          "HealthMap::MarkSuspect: bad target");
-  PartitionHealth& state = states_[replica][partition];
-  switch (state) {
-    case PartitionHealth::kOk:
-      state = PartitionHealth::kSuspect;
-      unhealthy_[replica]->fetch_add(1, std::memory_order_relaxed);
-      break;
-    case PartitionHealth::kSuspect:
-      state = PartitionHealth::kQuarantined;  // second strike
-      break;
-    case PartitionHealth::kQuarantined:
-      break;
-  }
-  return state;
 }
 
 void HealthMap::MarkOk(std::size_t replica, std::size_t partition) {
@@ -90,17 +69,6 @@ bool HealthMap::AnyQuarantined(
                      });
 }
 
-bool HealthMap::AnySuspect(
-    std::size_t replica, const std::vector<std::size_t>& partitions) const {
-  std::lock_guard lock(mutex_);
-  require(replica < states_.size(), "HealthMap::AnySuspect: bad replica");
-  const std::vector<PartitionHealth>& states = states_[replica];
-  return std::any_of(partitions.begin(), partitions.end(),
-                     [&states](std::size_t p) {
-                       return states[p] == PartitionHealth::kSuspect;
-                     });
-}
-
 std::vector<HealthMap::Target> HealthMap::Quarantined() const {
   std::lock_guard lock(mutex_);
   std::vector<Target> out;
@@ -125,19 +93,8 @@ HealthMap::Counts HealthMap::CountsFor(std::size_t replica) const {
   std::lock_guard lock(mutex_);
   require(replica < states_.size(), "HealthMap::CountsFor: bad replica");
   Counts counts;
-  for (const PartitionHealth state : states_[replica]) {
-    switch (state) {
-      case PartitionHealth::kOk:
-        ++counts.ok;
-        break;
-      case PartitionHealth::kSuspect:
-        ++counts.suspect;
-        break;
-      case PartitionHealth::kQuarantined:
-        ++counts.quarantined;
-        break;
-    }
-  }
+  for (const PartitionHealth state : states_[replica])
+    ++(state == PartitionHealth::kOk ? counts.ok : counts.quarantined);
   return counts;
 }
 

@@ -5,17 +5,14 @@
 // withheld from routing until self-healing repair re-encodes it from a
 // healthy replica (docs/robustness.md). The state machine per partition:
 //
-//   ok ──(unattributed execution failure)──> suspect
-//   ok / suspect ──(attributed read fault)──> quarantined
-//   suspect ──(second strike)──> quarantined
-//   suspect ──(clean read)──> ok
+//   ok ──(read fault naming the partition)──> quarantined
 //   quarantined ──(successful repair)──> ok
 //
-// Suspect partitions still serve queries (their replica's routing cost is
-// penalized); quarantined partitions never do. All methods are
-// thread-safe; the per-replica unhealthy count lets the routing hot path
-// skip the partition-level check entirely for fully healthy replicas
-// with one relaxed atomic load.
+// Every execution path names the partitions that failed, so no
+// intermediate "maybe bad" state exists. Quarantined partitions never
+// serve queries. All methods are thread-safe; the per-replica
+// quarantined count lets the routing hot path skip the partition-level
+// check entirely for fully healthy replicas with one relaxed atomic load.
 #ifndef BLOT_CORE_HEALTH_H_
 #define BLOT_CORE_HEALTH_H_
 
@@ -27,7 +24,7 @@
 
 namespace blot {
 
-enum class PartitionHealth : std::uint8_t { kOk, kSuspect, kQuarantined };
+enum class PartitionHealth : std::uint8_t { kOk, kQuarantined };
 
 class HealthMap {
  public:
@@ -37,7 +34,6 @@ class HealthMap {
   };
   struct Counts {
     std::size_t ok = 0;
-    std::size_t suspect = 0;
     std::size_t quarantined = 0;
   };
 
@@ -54,13 +50,10 @@ class HealthMap {
   std::size_t NumReplicas() const;
   PartitionHealth Get(std::size_t replica, std::size_t partition) const;
 
-  // Attributed read fault: the partition goes straight to quarantined.
-  // Returns true if the state changed (false if already quarantined).
+  // Read fault: the partition is quarantined. Returns true if the state
+  // changed (false if already quarantined).
   bool Quarantine(std::size_t replica, std::size_t partition);
-  // Unattributed failure: ok -> suspect, suspect -> quarantined
-  // (two-strike escalation). Returns the new state.
-  PartitionHealth MarkSuspect(std::size_t replica, std::size_t partition);
-  // Clean read or successful repair: back to ok.
+  // Successful repair: back to ok.
   void MarkOk(std::size_t replica, std::size_t partition);
 
   // True when every partition of `replica` is ok — one relaxed atomic
@@ -69,8 +62,6 @@ class HealthMap {
 
   bool AnyQuarantined(std::size_t replica,
                       const std::vector<std::size_t>& partitions) const;
-  bool AnySuspect(std::size_t replica,
-                  const std::vector<std::size_t>& partitions) const;
 
   // Snapshot of every quarantined (replica, partition) pair — the repair
   // queue's view.
@@ -81,7 +72,7 @@ class HealthMap {
  private:
   mutable std::mutex mutex_;
   std::vector<std::vector<PartitionHealth>> states_;
-  // unhealthy_[r]: suspect + quarantined partitions of replica r.
+  // unhealthy_[r]: quarantined partitions of replica r.
   // shared_ptr-free stable storage: grown only under the mutex, read
   // lock-free by AllOk.
   std::vector<std::unique_ptr<std::atomic<std::size_t>>> unhealthy_;

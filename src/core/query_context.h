@@ -13,7 +13,8 @@
 //
 // Contexts are cheap to construct on the query path: the profile is a
 // flat struct and the RNG seeds from the query id, so no global RNG is
-// contended. RouteQueryDetailed -> ExecuteWithFailover -> Replica::Execute
+// contended. Routing, every attempt of the execution pipeline
+// (BlotStore::Drive -> Attempt -> Replica::Execute) and its finish step
 // all write into the same context, and BlotStore::Execute moves its
 // pieces into the RoutedResult when the query finishes.
 #ifndef BLOT_CORE_QUERY_CONTEXT_H_
@@ -32,7 +33,7 @@
 
 namespace blot {
 
-// One execution attempt of the failover loop: which replica was tried,
+// One execution attempt of a query: which replica was tried,
 // what happened, and how long it took. RoutedResult carries the full
 // log so a caller (or the serving layer's slow-query diagnostics) can
 // reconstruct the query's path without re-reading the event log.
@@ -63,11 +64,11 @@ class QueryContext {
   std::uint64_t query_id() const { return query_id_; }
 
   // Per-stage timings and counters, filled by routing, the scan kernels
-  // and the failover loop (obs/profile.h).
+  // and the execution pipeline (obs/profile.h).
   obs::QueryProfile profile;
   // Caller-owned trace span; null when tracing is off.
   obs::TraceSpan* trace = nullptr;
-  // One entry per failover-loop attempt, in order.
+  // One entry per attempt, in launch order.
   std::vector<QueryAttempt> attempts;
   // Deterministic per-query randomness (event sampling, jitter). Seeded
   // from the query id, so two runs issuing the same queries in the same

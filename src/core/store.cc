@@ -6,7 +6,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -24,55 +23,6 @@
 namespace blot {
 namespace {
 
-// Estimate-vs-actual cost error is unbounded above (the estimate models a
-// cluster environment, the measurement is this process), so the error
-// histogram gets wide percentage buckets instead of latency buckets.
-obs::Histogram& CostErrorHistogram() {
-  static obs::Histogram& histogram =
-      obs::MetricsRegistry::global().GetHistogram(
-          "query.cost_error_pct", {},
-          {1, 2, 5, 10, 25, 50, 75, 90, 100, 250, 500, 1000, 10000,
-           100000, 1000000});
-  return histogram;
-}
-
-// Records one routed execution into the query.* metrics.
-void RecordRoutedQuery(const std::string& replica_name,
-                       const BlotStore::RoutedResult& routed) {
-  auto& registry = obs::MetricsRegistry::global();
-  static obs::Counter& routed_total =
-      registry.GetCounter("query.routed_total");
-  static obs::Histogram& estimated_ms =
-      registry.GetHistogram("query.estimated_cost_ms");
-  static obs::Histogram& measured_ms =
-      registry.GetHistogram("query.measured_ms");
-  static obs::Counter& np_predicted =
-      registry.GetCounter("query.partitions_predicted_total");
-  static obs::Counter& partitions_scanned =
-      registry.GetCounter("query.partitions_scanned_total");
-  static obs::Counter& records_scanned =
-      registry.GetCounter("query.records_scanned_total");
-  static obs::Counter& records_returned =
-      registry.GetCounter("query.records_returned_total");
-  static obs::Counter& bytes_read =
-      registry.GetCounter("query.bytes_read_total");
-
-  routed_total.Increment();
-  registry.GetCounter("query.routed_total", {{"replica", replica_name}})
-      .Increment();
-  estimated_ms.Observe(routed.estimated_cost_ms);
-  measured_ms.Observe(routed.measured_cost_ms);
-  if (routed.estimated_cost_ms > 0)
-    CostErrorHistogram().Observe(
-        std::abs(routed.measured_cost_ms - routed.estimated_cost_ms) /
-        routed.estimated_cost_ms * 100.0);
-  np_predicted.Increment(routed.predicted_partitions);
-  partitions_scanned.Increment(routed.result.stats.partitions_scanned);
-  records_scanned.Increment(routed.result.stats.records_scanned);
-  records_returned.Increment(routed.result.records.size());
-  bytes_read.Increment(routed.result.stats.bytes_read);
-}
-
 // Renders a partition list as "3,17,42" for event fields. A mass
 // quarantine can name hundreds of partitions; the field keeps the first
 // few for orientation and summarizes the rest, so one incident never
@@ -89,34 +39,30 @@ std::string PartitionList(const std::vector<std::size_t>& partitions) {
   return out;
 }
 
-// Records health-state transitions into the quarantine.* metrics and
-// emits a typed `quarantine` event naming the affected partitions.
-void RecordQuarantine(std::string_view replica_name,
-                      const std::vector<std::size_t>& partitions,
-                      std::size_t newly_quarantined,
-                      std::size_t newly_suspect, std::size_t active) {
-  auto& registry = obs::MetricsRegistry::global();
-  if (registry.enabled()) {
-    static obs::Counter& partitions_total =
-        registry.GetCounter("quarantine.partitions_total");
-    static obs::Counter& suspects_total =
-        registry.GetCounter("quarantine.suspects_total");
-    static obs::Gauge& active_gauge = registry.GetGauge("quarantine.active");
-    partitions_total.Increment(newly_quarantined);
-    suspects_total.Increment(newly_suspect);
-    active_gauge.Set(static_cast<double>(active));
-  }
-  obs::EventLog& log = obs::EventLog::Global();
-  if (log.enabled() && (newly_quarantined > 0 || newly_suspect > 0)) {
-    log.Warn("quarantine",
-             newly_quarantined > 0 ? "partitions quarantined"
-                                   : "partitions marked suspect",
-             {obs::Field("replica", std::string(replica_name)),
-              obs::Field("partitions", PartitionList(partitions)),
-              obs::Field("newly_quarantined", newly_quarantined),
-              obs::Field("newly_suspect", newly_suspect),
-              obs::Field("active_quarantined", active)});
-  }
+// The scan options every attempt of `ctx`'s query starts from.
+ScanOptions ScanFor(QueryContext& ctx, ThreadPool* pool) {
+  ScanOptions options;
+  options.pool = pool;
+  options.profile = ctx.profiling ? &ctx.profile : nullptr;
+  options.max_parallelism = ctx.max_scan_parallelism;
+  options.cancel = ctx.cancel.valid() ? &ctx.cancel : nullptr;
+  return options;
+}
+
+// The RoutedResult of the attempt whose records are returned; Finish
+// completes it. `degraded`: routing's first choice did not serve.
+BlotStore::RoutedResult Served(QueryResult result, double ms,
+                               const BlotStore::RoutingDecision& decision,
+                               std::string replica, bool degraded) {
+  BlotStore::RoutedResult routed;
+  routed.result = std::move(result);
+  routed.replica_index = decision.replica_index;
+  routed.estimated_cost_ms = decision.estimated_cost_ms;
+  routed.measured_cost_ms = ms;
+  routed.predicted_partitions = decision.predicted_partitions;
+  routed.degraded = degraded;
+  routed.served_by = std::move(replica);
+  return routed;
 }
 
 // Total order over records so multiset containment can be checked by a
@@ -154,19 +100,9 @@ BlotStore::~BlotStore() {
 }
 
 BlotStore::BlotStore(BlotStore&& other) noexcept {
-  // Drain background repairs first: their tasks captured `&other`, and
-  // moving the boxed state out from under a running task would leave it
-  // dereferencing null unique_ptrs.
-  if (other.sync_ != nullptr) other.WaitForRepairs();
-  dataset_ = std::move(other.dataset_);
-  universe_ = other.universe_;
-  replicas_ = std::move(other.replicas_);
-  sketches_ = std::move(other.sketches_);
-  policy_ = other.policy_;
-  health_ = std::move(other.health_);
-  latency_ = std::move(other.latency_);
-  sync_ = std::move(other.sync_);
-  telemetry_ = std::move(other.telemetry_);
+  // One transfer for both moves, so a new member cannot be moved by one
+  // and forgotten by the other.
+  *this = std::move(other);
 }
 
 BlotStore& BlotStore::operator=(BlotStore&& other) noexcept {
@@ -181,6 +117,7 @@ BlotStore& BlotStore::operator=(BlotStore&& other) noexcept {
   replicas_ = std::move(other.replicas_);
   sketches_ = std::move(other.sketches_);
   policy_ = other.policy_;
+  max_scan_parallelism_ = other.max_scan_parallelism_;
   health_ = std::move(other.health_);
   latency_ = std::move(other.latency_);
   sync_ = std::move(other.sync_);
@@ -276,34 +213,58 @@ std::uint64_t BlotStore::TotalStorageBytes() const {
   return total;
 }
 
-BlotStore::Ranking BlotStore::RankCandidates(
-    const STRange& query, const CostModel& model,
-    const FailoverPolicy& policy) const {
+struct BlotStore::AttemptOutcome {
+  QueryResult result;
+  double ms = 0.0;
+  // A needed partition was quarantined since ranking; nothing ran.
+  bool skipped = false;
+  // The partitions a read fault named (empty: no fault).
+  std::vector<std::size_t> faulty;
+  // Why the attempt produced no complete answer. A cancelled scan (a
+  // deadline or a lost hedge) keeps its exact coverage in `result`.
+  std::string error;
+
+  bool complete() const { return !skipped && error.empty(); }
+};
+
+bool BlotStore::Covers(std::size_t i, const STRange& query) const {
+  return IsFullReplica(i) || replicas_[i].universe().Contains(query);
+}
+
+std::vector<std::size_t> BlotStore::LostPartitions(
+    std::size_t replica, const STRange& query) const {
+  std::vector<std::size_t> lost;
+  if (health_->AllOk(replica)) return lost;
+  for (const std::size_t p :
+       sketches_[replica].index.InvolvedPartitions(query))
+    if (health_->Get(replica, p) == PartitionHealth::kQuarantined)
+      lost.push_back(p);
+  return lost;
+}
+
+BlotStore::Ranking BlotStore::RankCandidates(const STRange& query,
+                                             const CostModel& model) const {
   Ranking out;
-  // (adjusted cost, decision with the raw estimate): suspect penalties
+  // (adjusted cost, decision with the raw estimate): brownout penalties
   // steer the ordering but must not distort the reported estimate.
   std::vector<std::pair<double, RoutingDecision>> scored;
   for (std::size_t i = 0; i < sketches_.size(); ++i) {
-    // Full replicas can serve anything; partial replicas only queries
-    // entirely inside their coverage.
-    if (!IsFullReplica(i) && !replicas_[i].universe().Contains(query))
-      continue;
+    if (!Covers(i, query)) continue;
     ++out.covering;
+    if (!health_->AllOk(i) &&
+        health_->AnyQuarantined(i,
+                                sketches_[i].index.InvolvedPartitions(query)))
+      continue;
     const double cost = model.QueryCostMs(sketches_[i], query);
-    double adjusted = cost;
-    if (!health_->AllOk(i)) {
-      const std::vector<std::size_t> involved =
-          sketches_[i].index.InvolvedPartitions(query);
-      if (health_->AnyQuarantined(i, involved)) continue;
-      if (health_->AnySuspect(i, involved))
-        adjusted *= policy.suspect_cost_penalty;
-    }
     // Brownout: a replica whose observed reads run far slower than its
     // peers' is deprioritized (not quarantined — slow is not corrupt).
-    adjusted *= latency_->BrownoutPenalty(i);
-    scored.push_back(
-        {adjusted, {i, cost, sketches_[i].index.CountInvolved(query)}});
+    scored.push_back({cost * latency_->BrownoutPenalty(i),
+                      {i, cost, sketches_[i].index.CountInvolved(query)}});
   }
+  require(out.covering > 0,
+          "BlotStore::RouteQuery: no replica can serve the query (add a "
+          "full replica)");
+  if (scored.empty()) throw UnservableError(query);
   std::sort(scored.begin(), scored.end(),
             [](const auto& a, const auto& b) {
               if (a.first != b.first) return a.first < b.first;
@@ -320,10 +281,8 @@ QueryFailedError BlotStore::UnservableError(const STRange& query) const {
       "BlotStore: query unservable — every covering replica's copy of a "
       "needed partition is quarantined:";
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (!IsFullReplica(i) && !replicas_[i].universe().Contains(query))
-      continue;
-    for (std::size_t p : sketches_[i].index.InvolvedPartitions(query)) {
-      if (health_->Get(i, p) != PartitionHealth::kQuarantined) continue;
+    if (!Covers(i, query)) continue;
+    for (const std::size_t p : LostPartitions(i, query)) {
       lost.push_back({i, p});
       what += " [" + replicas_[i].config().Name() + " partition " +
               std::to_string(p) + "]";
@@ -338,12 +297,7 @@ BlotStore::RoutingDecision BlotStore::RouteQueryDetailed(
     const STRange& query, const CostModel& model) const {
   require(!replicas_.empty(), "BlotStore::RouteQuery: no replicas");
   std::shared_lock lock(sync_->state_mutex);
-  const Ranking ranking = RankCandidates(query, model, policy_);
-  require(ranking.covering > 0,
-          "BlotStore::RouteQuery: no replica can serve the query (add a "
-          "full replica)");
-  if (ranking.ranked.empty()) throw UnservableError(query);
-  return ranking.ranked.front();
+  return RankCandidates(query, model).ranked.front();
 }
 
 std::size_t BlotStore::RouteQuery(const STRange& query,
@@ -351,217 +305,346 @@ std::size_t BlotStore::RouteQuery(const STRange& query,
   return RouteQueryDetailed(query, model).replica_index;
 }
 
-BlotStore::RoutedResult BlotStore::ExecuteWithFailover(
-    const STRange& query, const CostModel& model,
-    const FailoverPolicy& policy, ThreadPool* pool, QueryContext& ctx) {
-  RoutedResult routed;
-  const bool profiling = ctx.profiling;
-  obs::QueryProfile& profile = ctx.profile;
-  obs::TraceSpan* trace = ctx.trace;
-  obs::TraceSpan* route_span =
-      trace != nullptr ? &trace->AddChild("route") : nullptr;
-  Ranking ranking;
-  const std::uint64_t route_start = profiling ? obs::MonotonicNanos() : 0;
-  {
-    obs::SpanTimer route_timer(route_span);
-    ranking = RankCandidates(query, model, policy);
+BlotStore::AttemptOutcome BlotStore::Attempt(const STRange& query,
+                                             std::size_t replica,
+                                             ScanOptions options,
+                                             bool around_lost) {
+  AttemptOutcome out;
+  // A fault since ranking (an earlier attempt, the other side of a
+  // hedge, a concurrent query) may have quarantined a needed partition.
+  const std::vector<std::size_t> lost = LostPartitions(replica, query);
+  if (!lost.empty()) {
+    if (!around_lost) {
+      out.skipped = true;
+      return out;
+    }
+    options.exclude_partitions = &lost;
   }
-  if (profiling)
-    profile.AddStage(obs::Stage::kRoute,
-                     double(obs::MonotonicNanos() - route_start) * 1e-6);
-  require(ranking.covering > 0,
-          "BlotStore::RouteQuery: no replica can serve the query (add a "
-          "full replica)");
-  if (ranking.ranked.empty()) throw UnservableError(query);
-  if (route_span != nullptr) {
-    route_span->AddAttribute("candidates", std::uint64_t{replicas_.size()});
-    route_span->AddAttribute("healthy_candidates",
-                             std::uint64_t{ranking.ranked.size()});
-    route_span->AddAttribute(
-        "replica",
-        replicas_[ranking.ranked.front().replica_index].config().Name());
-    route_span->AddAttribute("estimated_cost_ms",
-                             ranking.ranked.front().estimated_cost_ms);
-    route_span->AddAttribute(
-        "predicted_partitions",
-        std::uint64_t{ranking.ranked.front().predicted_partitions});
+  const std::uint64_t start_ns = obs::MonotonicNanos();
+  try {
+    out.result = replicas_[replica].Execute(query, options);
+    if (out.result.truncated && options.cancel != nullptr &&
+        options.cancel->ShouldStop())
+      out.error = "cancelled mid-scan";
+  } catch (const PartitionFaultError& e) {
+    Fault(replica, e);
+    out.faulty = e.partitions();
+    out.error = e.what();
   }
+  out.ms = double(obs::MonotonicNanos() - start_ns) * 1e-6;
+  // Only complete attempts teach the latency map: a cancelled scan's
+  // wall time reflects the budget, not the replica's speed.
+  if (out.complete())
+    latency_->Observe(replica, out.result.stats.partitions_scanned, out.ms);
+  return out;
+}
 
+void BlotStore::Fault(std::size_t replica, const PartitionFaultError& error) {
+  std::size_t newly_quarantined = 0;
+  for (const std::size_t p : error.partitions()) {
+    if (health_->Quarantine(replica, p)) ++newly_quarantined;
+    PartitionCache::Global().Invalidate(replicas_[replica].cache_id(), p);
+  }
+  const std::size_t active = health_->QuarantinedCount();
   auto& registry = obs::MetricsRegistry::global();
-  const std::size_t max_attempts =
-      std::max<std::size_t>(std::size_t{1}, policy.max_attempts);
-  std::size_t attempts = 0;
-  bool success = false;
-  for (const RoutingDecision& decision : ranking.ranked) {
-    if (attempts >= max_attempts) break;
-    // Deadline expiry (or an external cancel) ends the failover loop:
-    // starting another full attempt cannot beat an already-blown budget.
-    if (ctx.cancel.ShouldStop()) break;
-    const std::size_t idx = decision.replica_index;
-    // An earlier attempt's fault may have quarantined this candidate's
-    // copy of a needed partition since the ranking was computed.
-    if (!health_->AllOk(idx) &&
-        health_->AnyQuarantined(idx,
-                                sketches_[idx].index.InvolvedPartitions(
-                                    query)))
-      continue;
-    ++attempts;
-    const Replica& rep = replicas_[idx];
-    const std::string replica_name = rep.config().Name();
-    obs::TraceSpan* execute_span =
-        trace != nullptr ? &trace->AddChild("execute") : nullptr;
-    if (execute_span != nullptr) {
-      execute_span->AddAttribute("attempt", std::uint64_t{attempts});
-      execute_span->AddAttribute("replica", replica_name);
-    }
-    const std::uint64_t start_ns = obs::MonotonicNanos();
-    try {
-      obs::SpanTimer execute_timer(execute_span);
-      ScanOptions scan_options;
-      scan_options.pool = pool;
-      scan_options.profile = profiling ? &profile : nullptr;
-      scan_options.max_parallelism = ctx.max_scan_parallelism;
-      scan_options.cancel = ctx.cancel.valid() ? &ctx.cancel : nullptr;
-      routed.result = rep.Execute(query, scan_options);
-      routed.measured_cost_ms =
-          double(obs::MonotonicNanos() - start_ns) * 1e-6;
-      routed.replica_index = idx;
-      routed.estimated_cost_ms = decision.estimated_cost_ms;
-      routed.predicted_partitions = decision.predicted_partitions;
-      routed.served_by = replica_name;
-      routed.partial = routed.result.truncated;
-      ctx.attempts.push_back(
-          {idx, replica_name, routed.measured_cost_ms, true, {}});
-      // Only complete attempts teach the latency map: a cancelled scan's
-      // wall time reflects the budget, not the replica's speed.
-      if (!routed.result.truncated)
-        latency_->Observe(idx, routed.result.stats.partitions_scanned,
-                          routed.measured_cost_ms);
-      success = true;
-    } catch (const PartitionFaultError& e) {
-      // Attributed read faults: quarantine exactly the failing storage
-      // units (and drop any stale cached decodes), then fail over.
-      std::size_t newly_quarantined = 0;
-      for (const std::size_t p : e.partitions()) {
-        if (health_->Quarantine(idx, p)) ++newly_quarantined;
-        PartitionCache::Global().Invalidate(rep.cache_id(), p);
-      }
-      RecordQuarantine(replica_name, e.partitions(), newly_quarantined, 0,
-                       health_->QuarantinedCount());
-      // The failed attempt's wall time is failover overhead, not
-      // execution of the serving replica.
-      const double attempt_ms =
-          double(obs::MonotonicNanos() - start_ns) * 1e-6;
-      ctx.attempts.push_back(
-          {idx, replica_name, attempt_ms, false, std::string(e.what())});
-      if (profiling) profile.AddStage(obs::Stage::kFailover, attempt_ms);
-      obs::EventLog& log = obs::EventLog::Global();
-      if (log.enabled()) {
-        log.Warn("failover",
-                 "read fault; failing over to next-cheapest replica",
-                 {obs::Field("replica", replica_name),
-                  obs::Field("attempt", attempts),
-                  obs::Field("faulty_partitions",
-                             PartitionList(e.partitions()))});
-      }
-      if (execute_span != nullptr)
-        execute_span->AddAttribute("fault", std::string(e.what()));
-      continue;
-    }
-    if (profiling)
-      profile.AddStage(obs::Stage::kExecute, routed.measured_cost_ms);
-    if (execute_span != nullptr) {
-      execute_span->AddAttribute(
-          "partitions_scanned",
-          std::uint64_t{routed.result.stats.partitions_scanned});
-      execute_span->AddAttribute("records_scanned",
-                                 routed.result.stats.records_scanned);
-      execute_span->AddAttribute(
-          "records_returned", std::uint64_t{routed.result.records.size()});
-      execute_span->AddAttribute("bytes_read",
-                                 routed.result.stats.bytes_read);
-      if (PartitionCache::Global().enabled()) {
-        execute_span->AddAttribute(
-            "cache_hits", std::uint64_t{routed.result.stats.cache_hits});
-        execute_span->AddAttribute(
-            "cache_misses",
-            std::uint64_t{routed.result.stats.cache_misses});
-      }
-    }
-    break;
+  if (registry.enabled()) {
+    static obs::Counter& partitions_total =
+        registry.GetCounter("quarantine.partitions_total");
+    static obs::Gauge& active_gauge = registry.GetGauge("quarantine.active");
+    partitions_total.Increment(newly_quarantined);
+    active_gauge.Set(static_cast<double>(active));
   }
+  obs::EventLog& log = obs::EventLog::Global();
+  if (log.enabled() && newly_quarantined > 0) {
+    log.Warn("quarantine", "partitions quarantined",
+             {obs::Field("replica", replicas_[replica].config().Name()),
+              obs::Field("partitions", PartitionList(error.partitions())),
+              obs::Field("newly_quarantined", newly_quarantined),
+              obs::Field("active_quarantined", active)});
+  }
+}
 
+void BlotStore::LogAttempt(QueryContext& ctx, std::size_t replica,
+                           const AttemptOutcome& outcome) {
+  std::string name = replicas_[replica].config().Name();
+  const std::size_t number = ctx.attempts.size() + 1;
+  if (ctx.trace != nullptr) {
+    obs::TraceSpan& span = ctx.trace->AddChild("execute");
+    span.set_duration_ms(outcome.ms);
+    span.AddAttribute("attempt", std::uint64_t{number});
+    span.AddAttribute("replica", name);
+    if (!outcome.error.empty()) {
+      span.AddAttribute("fault", outcome.error);
+    } else {
+      const QueryStats& stats = outcome.result.stats;
+      span.AddAttribute("partitions_scanned",
+                        std::uint64_t{stats.partitions_scanned});
+      span.AddAttribute("records_scanned", stats.records_scanned);
+      span.AddAttribute("records_returned",
+                        std::uint64_t{outcome.result.records.size()});
+      span.AddAttribute("bytes_read", stats.bytes_read);
+      if (PartitionCache::Global().enabled()) {
+        span.AddAttribute("cache_hits", std::uint64_t{stats.cache_hits});
+        span.AddAttribute("cache_misses", std::uint64_t{stats.cache_misses});
+      }
+    }
+  }
+  auto& registry = obs::MetricsRegistry::global();
   if (registry.enabled()) {
     static obs::Counter& attempts_total =
         registry.GetCounter("failover.attempts_total");
-    attempts_total.Increment(attempts);
+    attempts_total.Increment();
   }
-  const bool deadline_hit = ctx.cancel.DeadlineExpired();
-  if (success && routed.partial) {
-    // The serving scan was interrupted mid-flight (deadline). Callers
-    // that opted in get the prefix plus the exact coverage split; the
-    // rest get the structured deadline error reporting how far we got.
+  obs::EventLog& log = obs::EventLog::Global();
+  if (!outcome.faulty.empty() && log.enabled()) {
+    log.Warn("failover", "read fault; failing over to next-cheapest replica",
+             {obs::Field("replica", name), obs::Field("attempt", number),
+              obs::Field("faulty_partitions", PartitionList(outcome.faulty))});
+  }
+  ctx.attempts.push_back({replica, std::move(name), outcome.ms,
+                          outcome.error.empty(), outcome.error});
+}
+
+BlotStore::RoutedResult BlotStore::Drive(
+    const STRange& query, const CostModel& model,
+    const FailoverPolicy& policy, ThreadPool* pool, QueryContext& ctx,
+    std::shared_lock<std::shared_mutex>& lock) {
+  obs::TraceSpan* route_span =
+      ctx.trace != nullptr ? &ctx.trace->AddChild("route") : nullptr;
+  const std::uint64_t route_start = ctx.profiling ? obs::MonotonicNanos() : 0;
+  Ranking ranking;
+  {
+    obs::SpanTimer route_timer(route_span);
+    ranking = RankCandidates(query, model);
+  }
+  if (ctx.profiling)
+    ctx.profile.AddStage(obs::Stage::kRoute,
+                         double(obs::MonotonicNanos() - route_start) * 1e-6);
+  const std::vector<RoutingDecision>& ranked = ranking.ranked;
+  if (route_span != nullptr) {
+    route_span->AddAttribute("candidates", std::uint64_t{replicas_.size()});
+    route_span->AddAttribute("healthy_candidates",
+                             std::uint64_t{ranked.size()});
+    route_span->AddAttribute(
+        "replica", replicas_[ranked.front().replica_index].config().Name());
+    route_span->AddAttribute("estimated_cost_ms",
+                             ranked.front().estimated_cost_ms);
+    route_span->AddAttribute(
+        "predicted_partitions",
+        std::uint64_t{ranked.front().predicted_partitions});
+  }
+
+  // `served` holds the first complete answer, or the deadline-cut attempt
+  // that got furthest; `next` is the next candidate to try.
+  std::optional<RoutedResult> served;
+  std::size_t next = 0;
+  if (ctx.hedge_ms > 0.0 && ranked.size() > 1)
+    next = Race(query, ranking, pool, ctx, lock, served);
+  const bool hedged = next == 2;
+  for (; !served && next < ranked.size(); ++next) {
+    // Deadline expiry ends the walk: starting another full attempt
+    // cannot beat an already-blown budget.
+    if (ctx.attempts.size() >= std::max<std::size_t>(policy.max_attempts, 1) ||
+        ctx.cancel.ShouldStop())
+      break;
+    const std::size_t replica = ranked[next].replica_index;
+    AttemptOutcome outcome =
+        Attempt(query, replica, ScanFor(ctx, pool), /*around_lost=*/false);
+    if (outcome.skipped) continue;
+    LogAttempt(ctx, replica, outcome);
+    if (!outcome.faulty.empty()) {
+      // The failed attempt's wall time is failover overhead, not
+      // execution of the serving replica.
+      if (ctx.profiling)
+        ctx.profile.AddStage(obs::Stage::kFailover, outcome.ms);
+      continue;
+    }
+    served = Served(std::move(outcome.result), outcome.ms, ranked[next],
+                    ctx.attempts.back().replica, next > 0);
+  }
+
+  RoutedResult routed =
+      served && !served->result.truncated
+          ? std::move(*served)
+          : Degrade(query, model, ranking, std::move(served), pool, ctx);
+  routed.hedged = hedged;
+  return Finish(ctx, std::move(routed));
+}
+
+std::size_t BlotStore::Race(const STRange& query, const Ranking& ranking,
+                            ThreadPool* pool, QueryContext& ctx,
+                            std::shared_lock<std::shared_mutex>& lock,
+                            std::optional<RoutedResult>& served) {
+  struct Slot {
+    bool done = false;
+    AttemptOutcome outcome;
+    obs::QueryProfile profile;
+  };
+  struct HedgeRace {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::array<Slot, 2> slots;
+    // Children of the query's token: each observes the deadline but is
+    // cancelled alone, so cancelling the loser never touches the winner.
+    std::array<CancelToken, 2> tokens;
+  };
+  auto race = std::make_shared<HedgeRace>();
+  race->tokens = {ctx.cancel.Child(), ctx.cancel.Child()};
+  // Everything is captured by value: a losing attempt may still run after
+  // Execute returns (parked in repair_futures) and must not reference the
+  // coordinator's frame.
+  auto run = [this, race, query, scan = ScanFor(ctx, pool),
+              profiling = ctx.profiling](std::size_t replica, std::size_t s) {
+    Slot out;
+    out.done = true;
+    ScanOptions options = scan;
+    options.cancel = &race->tokens[s];
+    options.profile = profiling ? &out.profile : nullptr;
+    try {
+      std::shared_lock attempt_lock(sync_->state_mutex);
+      out.outcome = Attempt(query, replica, options, /*around_lost=*/false);
+    } catch (const std::exception& e) {
+      out.outcome.error = e.what();
+    }
+    std::lock_guard<std::mutex> done_lock(race->mutex);
+    race->slots[s] = std::move(out);
+    race->cv.notify_all();
+  };
+
+  const std::vector<RoutingDecision>& ranked = ranking.ranked;
+  // Hedge when the primary runs past the caller's floor or 2x its own
+  // learned expectation, whichever is larger (a cold LatencyMap expects
+  // 0 ms).
+  const std::chrono::duration<double, std::milli> threshold(
+      std::max(ctx.hedge_ms,
+               2.0 * latency_->ExpectedMs(ranked[0].replica_index,
+                                          ranked[0].predicted_partitions)));
+  lock.unlock();
+  std::array<std::future<void>, 2> futures;
+  futures[0] = std::async(std::launch::async, run, ranked[0].replica_index,
+                          std::size_t{0});
+  std::size_t launched = 1;
+  int winner = -1;
+  std::array<Slot, 2> slots;
+  {
+    std::unique_lock<std::mutex> wait_lock(race->mutex);
+    if (!race->cv.wait_for(wait_lock, threshold,
+                           [&] { return race->slots[0].done; })) {
+      launched = 2;
+      futures[1] = std::async(std::launch::async, run,
+                              ranked[1].replica_index, std::size_t{1});
+    }
+    // Resolved: someone won, or every launched attempt is done.
+    race->cv.wait(wait_lock, [&] {
+      for (std::size_t s = 0; s < launched; ++s) {
+        if (race->slots[s].done && race->slots[s].outcome.complete()) {
+          winner = static_cast<int>(s);
+          return true;
+        }
+      }
+      return race->slots[0].done && (launched == 1 || race->slots[1].done);
+    });
+    for (std::size_t s = 0; s < launched; ++s)
+      slots[s] = std::move(race->slots[s]);
+  }
+  // First complete answer wins; the loser stops within one block (its
+  // cache and quarantine effects stay valid).
+  if (winner >= 0) race->tokens[1 - winner].Cancel(CancelReason::kHedgeLost);
+  // A still-running loser is parked with the background repairs
+  // (std::async futures block on destruction) and drained by
+  // WaitForRepairs and the destructor.
+  for (std::future<void>& f : futures) {
+    if (!f.valid() ||
+        f.wait_for(std::chrono::seconds(0)) == std::future_status::ready)
+      continue;
+    std::lock_guard<std::mutex> futures_lock(sync_->futures_mutex);
+    sync_->repair_futures.push_back(std::move(f));
+  }
+  lock.lock();
+
+  // Without a winner, the attempt a deadline cut furthest is the answer
+  // (no attempt in the race excludes partitions, so truncated means cut).
+  int chosen = winner;
+  for (std::size_t s = 0; winner < 0 && s < launched; ++s)
+    if (slots[s].outcome.result.truncated &&
+        (chosen < 0 || slots[s].outcome.result.served_partitions.size() >
+                           slots[chosen].outcome.result.served_partitions
+                               .size()))
+      chosen = static_cast<int>(s);
+  for (std::size_t s = 0; s < launched; ++s) {
+    AttemptOutcome& outcome = slots[s].outcome;
+    if (outcome.skipped) continue;
+    if (static_cast<int>(s) != chosen) {
+      if (outcome.error.empty()) outcome.error = "hedge lost (cancelled)";
+      if (slots[s].done && ctx.profiling)
+        ctx.profile.AddStage(obs::Stage::kHedge, outcome.ms);
+      LogAttempt(ctx, ranked[s].replica_index, outcome);
+      continue;
+    }
+    LogAttempt(ctx, ranked[s].replica_index, outcome);
+    if (ctx.profiling) ctx.profile.MergeScanFrom(slots[s].profile);
+    served = Served(std::move(outcome.result), outcome.ms, ranked[s],
+                    ctx.attempts.back().replica, s > 0);
+    served->hedge_backup_won = s == 1;
+  }
+
+  auto& registry = obs::MetricsRegistry::global();
+  if (registry.enabled() && launched == 2) {
+    static obs::Counter& fired_total =
+        registry.GetCounter("hedge.fired_total");
+    fired_total.Increment();
+    if (winner == 1) {
+      static obs::Counter& backup_wins =
+          registry.GetCounter("hedge.backup_wins_total");
+      backup_wins.Increment();
+    }
+  }
+  obs::EventLog& log = obs::EventLog::Global();
+  if (log.enabled() && launched == 2 && winner >= 0) {
+    log.Info("hedge",
+             winner == 1 ? "backup attempt won the hedged race"
+                         : "primary finished; backup cancelled",
+             {obs::Field("primary",
+                         replicas_[ranked[0].replica_index].config().Name()),
+              obs::Field("backup",
+                         replicas_[ranked[1].replica_index].config().Name()),
+              obs::Field("winner_ms", slots[winner].outcome.ms)});
+  }
+  return launched;
+}
+
+BlotStore::RoutedResult BlotStore::Degrade(
+    const STRange& query, const CostModel& model, const Ranking& ranking,
+    std::optional<RoutedResult> served, ThreadPool* pool, QueryContext& ctx) {
+  auto& registry = obs::MetricsRegistry::global();
+  if (served || ctx.cancel.DeadlineExpired()) {
     if (registry.enabled()) {
       static obs::Counter& deadline_total =
           registry.GetCounter("query.deadline_exceeded_total");
       deadline_total.Increment();
     }
+    if (!served) {
+      // No attempt got anywhere: every involved partition of the best
+      // candidate is missed.
+      const RoutingDecision& best = ranking.ranked.front();
+      QueryResult none;
+      none.truncated = true;
+      none.missed_partitions =
+          sketches_[best.replica_index].index.InvolvedPartitions(query);
+      served = Served(std::move(none), 0.0, best,
+                      replicas_[best.replica_index].config().Name(), false);
+    }
+    const std::size_t done = served->result.served_partitions.size();
+    const std::size_t missed = served->result.missed_partitions.size();
     if (!ctx.allow_partial) {
       throw DeadlineExceededError(
           "BlotStore: deadline of " + std::to_string(ctx.deadline_ms) +
-              "ms exceeded after " + std::to_string(attempts) +
-              " attempt(s); scanned " +
-              std::to_string(routed.result.served_partitions.size()) +
-              " of " +
-              std::to_string(routed.result.served_partitions.size() +
-                             routed.result.missed_partitions.size()) +
-              " involved partitions",
-          ctx.deadline_ms, attempts, routed.result.served_partitions.size(),
-          routed.result.missed_partitions.size());
+              "ms exceeded after " + std::to_string(ctx.attempts.size()) +
+              " attempt(s); scanned " + std::to_string(done) + " of " +
+              std::to_string(done + missed) + " involved partitions",
+          ctx.deadline_ms, ctx.attempts.size(), done, missed);
     }
-    if (registry.enabled()) {
-      static obs::Counter& partial_total =
-          registry.GetCounter("query.partial_total");
-      partial_total.Increment();
-    }
-  }
-  if (!success && deadline_hit) {
-    if (registry.enabled()) {
-      static obs::Counter& deadline_total =
-          registry.GetCounter("query.deadline_exceeded_total");
-      deadline_total.Increment();
-    }
-    // The deadline expired before any attempt completed (or between
-    // attempts). No records were assembled; every involved partition of
-    // the best candidate is missed.
-    const RoutingDecision& best = ranking.ranked.front();
-    std::vector<std::size_t> missed =
-        sketches_[best.replica_index].index.InvolvedPartitions(query);
-    std::sort(missed.begin(), missed.end());
-    if (!ctx.allow_partial) {
-      throw DeadlineExceededError(
-          "BlotStore: deadline of " + std::to_string(ctx.deadline_ms) +
-              "ms exceeded after " + std::to_string(attempts) +
-              " attempt(s); no attempt completed (0 of " +
-              std::to_string(missed.size()) + " involved partitions)",
-          ctx.deadline_ms, attempts, 0, missed.size());
-    }
-    if (registry.enabled()) {
-      static obs::Counter& partial_total =
-          registry.GetCounter("query.partial_total");
-      partial_total.Increment();
-    }
-    routed.result = QueryResult{};
-    routed.result.truncated = true;
-    routed.result.missed_partitions = std::move(missed);
-    routed.replica_index = best.replica_index;
-    routed.estimated_cost_ms = best.estimated_cost_ms;
-    routed.predicted_partitions = best.predicted_partitions;
-    routed.served_by = replicas_[best.replica_index].config().Name();
-    routed.partial = true;
-    success = true;
-  }
-  if (!success) {
+  } else {
     if (registry.enabled()) {
       static obs::Counter& exhausted_total =
           registry.GetCounter("failover.exhausted_total");
@@ -571,43 +654,59 @@ BlotStore::RoutedResult BlotStore::ExecuteWithFailover(
     if (log.enabled()) {
       log.Emit(obs::EventSeverity::kError, "failover.exhausted",
                "no healthy replica could serve the query",
-               {obs::Field("attempts", attempts),
+               {obs::Field("attempts", ctx.attempts.size()),
                 obs::Field("covering_replicas", ranking.covering)});
     }
-    if (ctx.allow_partial) {
-      // Graceful degradation: serve what survives by scanning around the
-      // quarantined partitions of the best covering replica.
-      return TryPartialFallback(query, model, policy, pool, ctx);
+    if (!ctx.allow_partial) throw UnservableError(query);
+    // Graceful degradation is one more attempt: the covering replica
+    // losing the fewest involved partitions (ties to the cheaper
+    // estimate) scans around its quarantined ones. Even an
+    // all-quarantined candidate stays eligible — for an opted-in caller
+    // an empty answer with an honest coverage report beats an error.
+    std::optional<RoutingDecision> best;
+    std::size_t best_lost = 0;
+    for (std::size_t i = 0; i < replicas_.size(); ++i) {
+      if (!Covers(i, query)) continue;
+      const std::size_t lost = LostPartitions(i, query).size();
+      const double cost = model.QueryCostMs(sketches_[i], query);
+      if (!best || std::pair(lost, cost) <
+                       std::pair(best_lost, best->estimated_cost_ms)) {
+        best = {i, cost, sketches_[i].index.CountInvolved(query)};
+        best_lost = lost;
+      }
     }
-    throw UnservableError(query);
-  }
-
-  routed.attempts = attempts;
-  routed.degraded = attempts > 1;
-  if (profiling) {
-    profile.replica_index = routed.replica_index;
-    profile.attempts = static_cast<std::uint32_t>(attempts);
-    profile.degraded = routed.degraded;
-    profile.estimated_cost_ms = routed.estimated_cost_ms;
-    profile.measured_cost_ms = routed.measured_cost_ms;
-  }
-  if (registry.enabled() && routed.degraded) {
-    static obs::Counter& rerouted_total =
-        registry.GetCounter("failover.queries_rerouted_total");
-    rerouted_total.Increment();
-  }
-  // A clean read clears suspicion: suspect involved partitions of the
-  // serving replica return to ok. A partial read proves nothing about
-  // the partitions it never reached, so it clears nothing.
-  if (!routed.partial && !health_->AllOk(routed.replica_index)) {
-    for (const std::size_t p :
-         sketches_[routed.replica_index].index.InvolvedPartitions(query)) {
-      if (health_->Get(routed.replica_index, p) == PartitionHealth::kSuspect)
-        health_->MarkOk(routed.replica_index, p);
+    AttemptOutcome outcome = Attempt(query, best->replica_index,
+                                     ScanFor(ctx, pool), /*around_lost=*/true);
+    LogAttempt(ctx, best->replica_index, outcome);
+    // Even the degraded scan faulted: nothing is left to serve from.
+    if (!outcome.faulty.empty()) throw UnservableError(query);
+    served = Served(std::move(outcome.result), outcome.ms, *best,
+                    ctx.attempts.back().replica, true);
+    if (log.enabled() && served->result.truncated) {
+      log.Warn("query.partial",
+               "serving partial result around lost partitions",
+               {obs::Field("replica", served->served_by),
+                obs::Field("served", served->result.served_partitions.size()),
+                obs::Field("missed",
+                           PartitionList(served->result.missed_partitions))});
     }
   }
+  return std::move(*served);
+}
 
-  if (trace != nullptr) {
+BlotStore::RoutedResult BlotStore::Finish(QueryContext& ctx,
+                                          RoutedResult routed) {
+  routed.attempts = ctx.attempts.size();
+  routed.partial = routed.result.truncated;
+  if (ctx.profiling) {
+    ctx.profile.AddStage(obs::Stage::kExecute, routed.measured_cost_ms);
+    ctx.profile.replica_index = routed.replica_index;
+    ctx.profile.attempts = static_cast<std::uint32_t>(routed.attempts);
+    ctx.profile.degraded = routed.degraded;
+    ctx.profile.estimated_cost_ms = routed.estimated_cost_ms;
+    ctx.profile.measured_cost_ms = routed.measured_cost_ms;
+  }
+  if (obs::TraceSpan* trace = ctx.trace; trace != nullptr) {
     trace->AddAttribute("replica", routed.served_by);
     trace->AddAttribute("estimated_cost_ms", routed.estimated_cost_ms);
     trace->AddAttribute("measured_cost_ms", routed.measured_cost_ms);
@@ -618,6 +717,12 @@ BlotStore::RoutedResult BlotStore::ExecuteWithFailover(
       trace->AddAttribute("attempts", std::uint64_t{routed.attempts});
       trace->AddAttribute("degraded", std::string("true"));
     }
+    if (routed.hedged) {
+      trace->AddAttribute("hedged", std::string("true"));
+      trace->AddAttribute(
+          "hedge_backup_won",
+          std::string(routed.hedge_backup_won ? "true" : "false"));
+    }
     if (routed.partial) {
       trace->AddAttribute(
           "partial_served",
@@ -627,7 +732,51 @@ BlotStore::RoutedResult BlotStore::ExecuteWithFailover(
           std::uint64_t{routed.result.missed_partitions.size()});
     }
   }
-  if (registry.enabled()) RecordRoutedQuery(routed.served_by, routed);
+  auto& registry = obs::MetricsRegistry::global();
+  if (!registry.enabled()) return routed;
+  static obs::Counter& routed_total =
+      registry.GetCounter("query.routed_total");
+  static obs::Histogram& estimated_ms =
+      registry.GetHistogram("query.estimated_cost_ms");
+  static obs::Histogram& measured_ms =
+      registry.GetHistogram("query.measured_ms");
+  // Estimate-vs-actual cost error is unbounded above (the estimate models
+  // a cluster environment, the measurement is this process), so it gets
+  // wide percentage buckets instead of latency buckets.
+  static obs::Histogram& cost_error_pct = registry.GetHistogram(
+      "query.cost_error_pct", {},
+      {1, 2, 5, 10, 25, 50, 75, 90, 100, 250, 500, 1000, 10000, 100000,
+       1000000});
+  static obs::Counter& np_predicted =
+      registry.GetCounter("query.partitions_predicted_total");
+  static obs::Counter& partitions_scanned =
+      registry.GetCounter("query.partitions_scanned_total");
+  static obs::Counter& records_scanned =
+      registry.GetCounter("query.records_scanned_total");
+  static obs::Counter& records_returned =
+      registry.GetCounter("query.records_returned_total");
+  static obs::Counter& bytes_read =
+      registry.GetCounter("query.bytes_read_total");
+  static obs::Counter& rerouted_total =
+      registry.GetCounter("failover.queries_rerouted_total");
+  static obs::Counter& partial_total =
+      registry.GetCounter("query.partial_total");
+  routed_total.Increment();
+  registry.GetCounter("query.routed_total", {{"replica", routed.served_by}})
+      .Increment();
+  estimated_ms.Observe(routed.estimated_cost_ms);
+  measured_ms.Observe(routed.measured_cost_ms);
+  if (routed.estimated_cost_ms > 0)
+    cost_error_pct.Observe(
+        std::abs(routed.measured_cost_ms - routed.estimated_cost_ms) /
+        routed.estimated_cost_ms * 100.0);
+  np_predicted.Increment(routed.predicted_partitions);
+  partitions_scanned.Increment(routed.result.stats.partitions_scanned);
+  records_scanned.Increment(routed.result.stats.records_scanned);
+  records_returned.Increment(routed.result.records.size());
+  bytes_read.Increment(routed.result.stats.bytes_read);
+  if (routed.degraded) rerouted_total.Increment();
+  if (routed.partial) partial_total.Increment();
   return routed;
 }
 
@@ -635,10 +784,7 @@ BlotStore::RoutedResult BlotStore::Execute(const STRange& query,
                                            const CostModel& model,
                                            ThreadPool* pool,
                                            obs::TraceSpan* trace) {
-  ExecOptions options;
-  options.pool = pool;
-  options.trace = trace;
-  return Execute(query, model, options);
+  return Execute(query, model, ExecOptions{.pool = pool, .trace = trace});
 }
 
 BlotStore::RoutedResult BlotStore::Execute(const STRange& query,
@@ -662,18 +808,12 @@ BlotStore::RoutedResult BlotStore::Execute(const STRange& query,
   RoutedResult routed;
   FailoverPolicy policy;
   const std::uint64_t start_ns = ctx.profiling ? obs::MonotonicNanos() : 0;
-  bool hedging = false;
   {
     std::shared_lock lock(sync_->state_mutex);
     policy = policy_;  // per-query snapshot; retunes never tear a query
     ctx.max_scan_parallelism = max_scan_parallelism_;
-    // Hedging needs a second replica to race; the coordinator manages
-    // its own locking (each attempt takes its own shared lock).
-    hedging = ctx.hedge_ms > 0.0 && replicas_.size() > 1;
-    if (!hedging)
-      routed = ExecuteWithFailover(query, model, policy, pool, ctx);
+    routed = Drive(query, model, policy, pool, ctx, lock);
   }
-  if (hedging) routed = ExecuteHedged(query, model, policy, pool, ctx);
   const std::uint64_t repair_start =
       ctx.profiling ? obs::MonotonicNanos() : 0;
   MaybeScheduleRepairs(pool, policy);
@@ -691,474 +831,6 @@ BlotStore::RoutedResult BlotStore::Execute(const STRange& query,
   routed.query_id = ctx.query_id();
   routed.attempt_log = std::move(ctx.attempts);
   routed.profile = std::move(ctx.profile);
-  return routed;
-}
-
-BlotStore::RoutedResult BlotStore::TryPartialFallback(
-    const STRange& query, const CostModel& model,
-    const FailoverPolicy& policy, ThreadPool* pool, QueryContext& ctx) {
-  (void)policy;
-  auto& registry = obs::MetricsRegistry::global();
-  // Pick the covering replica losing the fewest involved partitions to
-  // quarantine; ties go to the cheaper estimate. Even an all-quarantined
-  // candidate stays eligible — for an opted-in caller an empty answer
-  // with an honest coverage report beats an error.
-  std::size_t best = replicas_.size();
-  std::size_t best_lost = std::numeric_limits<std::size_t>::max();
-  double best_cost = 0.0;
-  std::vector<std::size_t> best_excluded;
-  for (std::size_t i = 0; i < sketches_.size(); ++i) {
-    if (!IsFullReplica(i) && !replicas_[i].universe().Contains(query))
-      continue;
-    std::vector<std::size_t> quarantined;
-    for (const std::size_t p :
-         sketches_[i].index.InvolvedPartitions(query)) {
-      if (health_->Get(i, p) == PartitionHealth::kQuarantined)
-        quarantined.push_back(p);
-    }
-    const double cost = model.QueryCostMs(sketches_[i], query);
-    if (quarantined.size() < best_lost ||
-        (quarantined.size() == best_lost && cost < best_cost)) {
-      best = i;
-      best_lost = quarantined.size();
-      best_cost = cost;
-      best_excluded = std::move(quarantined);
-    }
-  }
-  if (best == replicas_.size()) throw UnservableError(query);
-  std::sort(best_excluded.begin(), best_excluded.end());
-
-  const Replica& rep = replicas_[best];
-  const std::string replica_name = rep.config().Name();
-  RoutedResult routed;
-  const std::uint64_t start_ns = obs::MonotonicNanos();
-  try {
-    ScanOptions scan_options;
-    scan_options.pool = pool;
-    scan_options.profile = ctx.profiling ? &ctx.profile : nullptr;
-    scan_options.max_parallelism = ctx.max_scan_parallelism;
-    scan_options.cancel = ctx.cancel.valid() ? &ctx.cancel : nullptr;
-    scan_options.exclude_partitions =
-        best_excluded.empty() ? nullptr : &best_excluded;
-    routed.result = rep.Execute(query, scan_options);
-  } catch (const PartitionFaultError& e) {
-    // Even the degraded scan faulted: quarantine what it named and give
-    // up — there is nothing left to serve from.
-    std::size_t newly_quarantined = 0;
-    for (const std::size_t p : e.partitions()) {
-      if (health_->Quarantine(best, p)) ++newly_quarantined;
-      PartitionCache::Global().Invalidate(rep.cache_id(), p);
-    }
-    RecordQuarantine(replica_name, e.partitions(), newly_quarantined, 0,
-                     health_->QuarantinedCount());
-    ctx.attempts.push_back({best, replica_name,
-                            double(obs::MonotonicNanos() - start_ns) * 1e-6,
-                            false, std::string(e.what())});
-    throw UnservableError(query);
-  }
-  routed.measured_cost_ms = double(obs::MonotonicNanos() - start_ns) * 1e-6;
-  routed.replica_index = best;
-  routed.estimated_cost_ms = best_cost;
-  routed.predicted_partitions = sketches_[best].index.CountInvolved(query);
-  routed.served_by = replica_name;
-  routed.partial = routed.result.truncated;
-  routed.degraded = true;
-  ctx.attempts.push_back(
-      {best, replica_name, routed.measured_cost_ms, true, {}});
-  routed.attempts = ctx.attempts.size();
-  if (ctx.profiling) {
-    ctx.profile.AddStage(obs::Stage::kExecute, routed.measured_cost_ms);
-    ctx.profile.replica_index = best;
-    ctx.profile.attempts = static_cast<std::uint32_t>(routed.attempts);
-    ctx.profile.degraded = true;
-    ctx.profile.estimated_cost_ms = routed.estimated_cost_ms;
-    ctx.profile.measured_cost_ms = routed.measured_cost_ms;
-  }
-  if (registry.enabled()) {
-    static obs::Counter& partial_total =
-        registry.GetCounter("query.partial_total");
-    partial_total.Increment();
-    RecordRoutedQuery(routed.served_by, routed);
-  }
-  obs::EventLog& log = obs::EventLog::Global();
-  if (log.enabled() && routed.partial) {
-    log.Warn("query.partial", "serving partial result around lost partitions",
-             {obs::Field("replica", replica_name),
-              obs::Field("served",
-                         routed.result.served_partitions.size()),
-              obs::Field("missed",
-                         PartitionList(routed.result.missed_partitions))});
-  }
-  return routed;
-}
-
-BlotStore::RoutedResult BlotStore::ExecuteHedged(const STRange& query,
-                                                 const CostModel& model,
-                                                 const FailoverPolicy& policy,
-                                                 ThreadPool* pool,
-                                                 QueryContext& ctx) {
-  using Clock = std::chrono::steady_clock;
-  const bool profiling = ctx.profiling;
-  auto& registry = obs::MetricsRegistry::global();
-
-  Ranking ranking;
-  std::array<std::string, 2> names;
-  const std::uint64_t route_start = profiling ? obs::MonotonicNanos() : 0;
-  {
-    std::shared_lock lock(sync_->state_mutex);
-    ranking = RankCandidates(query, model, policy);
-    require(ranking.covering > 0,
-            "BlotStore::RouteQuery: no replica can serve the query (add a "
-            "full replica)");
-    if (ranking.ranked.empty()) throw UnservableError(query);
-    if (ranking.ranked.size() < 2) {
-      // One healthy candidate: nothing to race — plain failover, under
-      // the shared lock the failover loop expects.
-      return ExecuteWithFailover(query, model, policy, pool, ctx);
-    }
-    names[0] = replicas_[ranking.ranked[0].replica_index].config().Name();
-    names[1] = replicas_[ranking.ranked[1].replica_index].config().Name();
-  }
-  if (profiling)
-    ctx.profile.AddStage(obs::Stage::kRoute,
-                         double(obs::MonotonicNanos() - route_start) * 1e-6);
-
-  struct HedgeAttempt {
-    bool done = false;
-    bool ok = false;
-    bool fault = false;
-    QueryResult result;
-    double ms = 0.0;
-    std::string error;
-    obs::QueryProfile profile;
-  };
-  struct HedgeRace {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::array<HedgeAttempt, 2> attempts;
-    std::array<CancelToken, 2> tokens;
-  };
-  auto race = std::make_shared<HedgeRace>();
-  // Child tokens observe the query deadline but cancel independently, so
-  // cancelling the loser never touches the winner.
-  race->tokens = {ctx.cancel.Child(), ctx.cancel.Child()};
-
-  // `query` is captured by value: the losing attempt may be parked
-  // un-joined in repair_futures and must not reference coordinator
-  // stack frames after Execute returns.
-  const std::size_t max_par = ctx.max_scan_parallelism;
-  auto run_attempt = [this, race, query, pool, profiling, max_par](
-                         std::size_t replica_idx, std::size_t slot) {
-    HedgeAttempt out;
-    const std::uint64_t start_ns = obs::MonotonicNanos();
-    // Each attempt holds its own shared lock: the coordinator holds none,
-    // so a queued writer can never wedge it between its attempts.
-    std::shared_lock lock(sync_->state_mutex);
-    try {
-      const Replica& rep = replicas_[replica_idx];
-      // The other attempt's fault may have quarantined this candidate
-      // since the ranking was computed.
-      if (!health_->AllOk(replica_idx) &&
-          health_->AnyQuarantined(
-              replica_idx,
-              sketches_[replica_idx].index.InvolvedPartitions(query))) {
-        out.error = "replica quarantined since ranking";
-      } else {
-        ScanOptions scan_options;
-        scan_options.pool = pool;
-        scan_options.profile = profiling ? &out.profile : nullptr;
-        scan_options.max_parallelism = max_par;
-        scan_options.cancel = &race->tokens[slot];
-        out.result = rep.Execute(query, scan_options);
-        // A truncated result means this attempt was cancelled (lost the
-        // race or hit the deadline); it is not a win, but its partial
-        // coverage stays available for the deadline path.
-        out.ok = !out.result.truncated;
-        if (!out.ok) out.error = "cancelled mid-scan";
-      }
-    } catch (const PartitionFaultError& e) {
-      std::size_t newly_quarantined = 0;
-      for (const std::size_t p : e.partitions()) {
-        if (health_->Quarantine(replica_idx, p)) ++newly_quarantined;
-        PartitionCache::Global().Invalidate(replicas_[replica_idx].cache_id(),
-                                            p);
-      }
-      RecordQuarantine(replicas_[replica_idx].config().Name(),
-                       e.partitions(), newly_quarantined, 0,
-                       health_->QuarantinedCount());
-      out.error = e.what();
-      out.fault = true;
-    } catch (const std::exception& e) {
-      out.error = e.what();
-    }
-    out.ms = double(obs::MonotonicNanos() - start_ns) * 1e-6;
-    {
-      std::lock_guard<std::mutex> done_lock(race->mutex);
-      out.done = true;
-      race->attempts[slot] = std::move(out);
-    }
-    race->cv.notify_all();
-  };
-
-  const std::size_t primary = ranking.ranked[0].replica_index;
-  const std::size_t backup = ranking.ranked[1].replica_index;
-  // Hedge when the primary runs past the caller's floor or 2x its own
-  // learned expectation, whichever is larger (a cold LatencyMap
-  // contributes nothing).
-  double threshold_ms = ctx.hedge_ms;
-  const double expected = latency_->ExpectedMs(
-      primary, ranking.ranked[0].predicted_partitions);
-  if (expected > 0.0) threshold_ms = std::max(threshold_ms, 2.0 * expected);
-
-  auto primary_future =
-      std::async(std::launch::async, run_attempt, primary, std::size_t{0});
-  std::future<void> backup_future;
-  bool hedged = false;
-  {
-    std::unique_lock<std::mutex> wait_lock(race->mutex);
-    const auto hedge_at =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               threshold_ms));
-    race->cv.wait_until(wait_lock, hedge_at,
-                        [&] { return race->attempts[0].done; });
-    if (!race->attempts[0].done) {
-      hedged = true;
-      wait_lock.unlock();
-      backup_future = std::async(std::launch::async, run_attempt, backup,
-                                 std::size_t{1});
-      wait_lock.lock();
-    }
-    // Resolved: someone won, or every launched attempt is done (all
-    // failed / all cancelled by the deadline).
-    race->cv.wait(wait_lock, [&] {
-      const HedgeAttempt& a0 = race->attempts[0];
-      const HedgeAttempt& a1 = race->attempts[1];
-      if (a0.done && a0.ok) return true;
-      if (hedged && a1.done && a1.ok) return true;
-      return hedged ? (a0.done && a1.done) : a0.done;
-    });
-  }
-
-  int winner = -1;
-  HedgeAttempt win;
-  std::array<bool, 2> done_snapshot = {false, false};
-  std::array<double, 2> ms_snapshot = {0.0, 0.0};
-  std::array<std::string, 2> error_snapshot;
-  {
-    std::lock_guard<std::mutex> snap_lock(race->mutex);
-    if (race->attempts[0].done && race->attempts[0].ok)
-      winner = 0;
-    else if (hedged && race->attempts[1].done && race->attempts[1].ok)
-      winner = 1;
-    for (std::size_t s = 0; s < 2; ++s) {
-      done_snapshot[s] = race->attempts[s].done;
-      ms_snapshot[s] = race->attempts[s].ms;
-      error_snapshot[s] = race->attempts[s].error;
-    }
-    if (winner >= 0) win = std::move(race->attempts[winner]);
-  }
-  // First complete answer wins; tell the loser to stop (it halts within
-  // one block and its cache/quarantine effects remain valid).
-  if (winner == 0 && hedged)
-    race->tokens[1].Cancel(CancelReason::kHedgeLost);
-  if (winner == 1) race->tokens[0].Cancel(CancelReason::kHedgeLost);
-
-  // Done attempts join immediately; a still-running loser is parked with
-  // the background repairs (std::async futures block on destruction) and
-  // drained by WaitForRepairs / the destructor.
-  auto settle = [this](std::future<void>&& f) {
-    if (!f.valid()) return;
-    if (f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-      f.get();
-      return;
-    }
-    std::lock_guard<std::mutex> futures_lock(sync_->futures_mutex);
-    sync_->repair_futures.push_back(std::move(f));
-  };
-  settle(std::move(primary_future));
-  settle(std::move(backup_future));
-
-  if (registry.enabled() && hedged) {
-    static obs::Counter& fired_total =
-        registry.GetCounter("hedge.fired_total");
-    fired_total.Increment();
-  }
-
-  // Attempt log: primary first, then the backup if it launched.
-  const std::size_t launched = hedged ? 2 : 1;
-  for (std::size_t s = 0; s < launched; ++s) {
-    const std::size_t idx = s == 0 ? primary : backup;
-    const bool attempt_ok = winner == static_cast<int>(s);
-    ctx.attempts.push_back({idx, names[s],
-                            done_snapshot[s] ? ms_snapshot[s] : 0.0,
-                            attempt_ok,
-                            attempt_ok ? std::string()
-                            : done_snapshot[s]
-                                ? error_snapshot[s]
-                                : std::string("hedge lost (cancelled)")});
-  }
-
-  if (winner < 0) {
-    // Nobody produced a complete answer. With partial coverage banked by
-    // a deadline-cancelled attempt, report (or serve) that; otherwise
-    // fall back to the failover loop, which re-ranks around whatever the
-    // attempts quarantined and handles deadline/partial uniformly.
-    int best_partial = -1;
-    {
-      std::lock_guard<std::mutex> snap_lock(race->mutex);
-      std::size_t best_served = 0;
-      for (std::size_t s = 0; s < launched; ++s) {
-        const HedgeAttempt& a = race->attempts[s];
-        if (!a.done || !a.result.truncated) continue;
-        if (best_partial < 0 ||
-            a.result.served_partitions.size() > best_served) {
-          best_partial = static_cast<int>(s);
-          best_served = a.result.served_partitions.size();
-        }
-      }
-      if (best_partial >= 0) win = std::move(race->attempts[best_partial]);
-    }
-    if (ctx.cancel.DeadlineExpired() && best_partial >= 0) {
-      if (registry.enabled()) {
-        static obs::Counter& deadline_total =
-            registry.GetCounter("query.deadline_exceeded_total");
-        deadline_total.Increment();
-      }
-      const std::size_t served = win.result.served_partitions.size();
-      const std::size_t missed = win.result.missed_partitions.size();
-      if (!ctx.allow_partial) {
-        throw DeadlineExceededError(
-            "BlotStore: deadline of " + std::to_string(ctx.deadline_ms) +
-                "ms exceeded after " + std::to_string(launched) +
-                " attempt(s); scanned " + std::to_string(served) + " of " +
-                std::to_string(served + missed) + " involved partitions",
-            ctx.deadline_ms, launched, served, missed);
-      }
-      if (registry.enabled()) {
-        static obs::Counter& partial_total =
-            registry.GetCounter("query.partial_total");
-        partial_total.Increment();
-      }
-      const std::size_t widx = best_partial == 0 ? primary : backup;
-      const RoutingDecision& decision = ranking.ranked[best_partial];
-      RoutedResult routed;
-      routed.result = std::move(win.result);
-      routed.replica_index = widx;
-      routed.estimated_cost_ms = decision.estimated_cost_ms;
-      routed.predicted_partitions = decision.predicted_partitions;
-      routed.measured_cost_ms = win.ms;
-      routed.served_by = names[best_partial];
-      routed.attempts = launched;
-      routed.degraded = best_partial != 0;
-      routed.hedged = hedged;
-      routed.hedge_backup_won = best_partial == 1;
-      routed.partial = true;
-      if (profiling) {
-        ctx.profile.MergeScanFrom(win.profile);
-        ctx.profile.AddStage(obs::Stage::kExecute, win.ms);
-        ctx.profile.replica_index = widx;
-        ctx.profile.attempts = static_cast<std::uint32_t>(launched);
-        ctx.profile.degraded = routed.degraded;
-        ctx.profile.estimated_cost_ms = routed.estimated_cost_ms;
-        ctx.profile.measured_cost_ms = routed.measured_cost_ms;
-      }
-      if (registry.enabled()) RecordRoutedQuery(routed.served_by, routed);
-      return routed;
-    }
-    std::shared_lock lock(sync_->state_mutex);
-    return ExecuteWithFailover(query, model, policy, pool, ctx);
-  }
-
-  const RoutingDecision& decision = ranking.ranked[winner];
-  const std::size_t widx = winner == 0 ? primary : backup;
-  RoutedResult routed;
-  routed.result = std::move(win.result);
-  routed.replica_index = widx;
-  routed.estimated_cost_ms = decision.estimated_cost_ms;
-  routed.predicted_partitions = decision.predicted_partitions;
-  routed.measured_cost_ms = win.ms;
-  routed.served_by = names[winner];
-  routed.attempts = launched;
-  // A hedge win is not a failover: routing's first choice still served
-  // unless the backup beat it.
-  routed.degraded = winner != 0;
-  routed.hedged = hedged;
-  routed.hedge_backup_won = winner == 1;
-
-  // Complete attempts (winner, and a loser that finished before the
-  // cancel landed) teach the latency map — including the slowness that
-  // triggered the hedge, which is exactly the brownout signal.
-  for (std::size_t s = 0; s < launched; ++s) {
-    bool complete = false;
-    std::size_t scanned = 0;
-    if (static_cast<int>(s) == winner) {
-      complete = true;
-      scanned = routed.result.stats.partitions_scanned;
-    } else {
-      std::lock_guard<std::mutex> snap_lock(race->mutex);
-      const HedgeAttempt& a = race->attempts[s];
-      if (a.done && a.ok) {
-        complete = true;
-        scanned = a.result.stats.partitions_scanned;
-      }
-    }
-    if (complete)
-      latency_->Observe(s == 0 ? primary : backup, scanned, ms_snapshot[s]);
-  }
-
-  if (profiling) {
-    ctx.profile.MergeScanFrom(win.profile);
-    ctx.profile.AddStage(obs::Stage::kExecute, win.ms);
-    if (hedged && winner == 0 && done_snapshot[1])
-      ctx.profile.AddStage(obs::Stage::kHedge, ms_snapshot[1]);
-    if (winner == 1 && done_snapshot[0])
-      ctx.profile.AddStage(obs::Stage::kHedge, ms_snapshot[0]);
-    ctx.profile.replica_index = widx;
-    ctx.profile.attempts = static_cast<std::uint32_t>(launched);
-    ctx.profile.degraded = routed.degraded;
-    ctx.profile.estimated_cost_ms = routed.estimated_cost_ms;
-    ctx.profile.measured_cost_ms = routed.measured_cost_ms;
-  }
-  if (registry.enabled()) {
-    static obs::Counter& attempts_total =
-        registry.GetCounter("failover.attempts_total");
-    attempts_total.Increment(launched);
-    if (routed.hedge_backup_won) {
-      static obs::Counter& backup_wins =
-          registry.GetCounter("hedge.backup_wins_total");
-      backup_wins.Increment();
-    }
-  }
-  obs::EventLog& log = obs::EventLog::Global();
-  if (log.enabled() && hedged) {
-    log.Info("hedge", routed.hedge_backup_won
-                          ? "backup attempt won the hedged race"
-                          : "primary finished; backup cancelled",
-             {obs::Field("primary", names[0]),
-              obs::Field("backup", names[1]),
-              obs::Field("winner_ms", routed.measured_cost_ms)});
-  }
-  // A clean full read clears suspicion on the winner's involved
-  // partitions (same contract as the failover loop).
-  if (!health_->AllOk(widx)) {
-    std::shared_lock lock(sync_->state_mutex);
-    for (const std::size_t p :
-         sketches_[widx].index.InvolvedPartitions(query)) {
-      if (health_->Get(widx, p) == PartitionHealth::kSuspect)
-        health_->MarkOk(widx, p);
-    }
-  }
-  if (ctx.trace != nullptr) {
-    ctx.trace->AddAttribute("replica", routed.served_by);
-    ctx.trace->AddAttribute("hedged", std::string(hedged ? "true" : "false"));
-    if (hedged)
-      ctx.trace->AddAttribute(
-          "hedge_backup_won",
-          std::string(routed.hedge_backup_won ? "true" : "false"));
-    ctx.trace->AddAttribute("measured_cost_ms", routed.measured_cost_ms);
-  }
-  if (registry.enabled()) RecordRoutedQuery(routed.served_by, routed);
   return routed;
 }
 
@@ -1311,6 +983,17 @@ std::uint64_t BlotStore::RecoverPartitionLocked(
           "BlotStore::RecoverPartition: bad partition");
   auto& registry = obs::MetricsRegistry::global();
   const std::uint64_t start_ns = obs::MonotonicNanos();
+  // Replicas to fetch from: `source` when given, otherwise every other
+  // replica covering `range`.
+  const auto sources_covering = [&](const STRange& range) {
+    std::vector<std::size_t> sources;
+    for (std::size_t r = 0; r < replicas_.size(); ++r)
+      if (source.has_value()
+              ? r == *source
+              : r != target && replicas_[r].universe().Contains(range))
+        sources.push_back(r);
+    return sources;
+  };
 
   // Membership oracle: which records belong in this partition is decided
   // by the partitioner (equal-count median splits with order-dependent
@@ -1347,15 +1030,7 @@ std::uint64_t BlotStore::RecoverPartitionLocked(
           {obs::Field("replica", rep.config().Name()),
            obs::Field("partition", partition)});
     }
-    std::vector<std::size_t> sources;
-    if (source.has_value()) {
-      sources.push_back(*source);
-    } else {
-      for (std::size_t r = 0; r < replicas_.size(); ++r)
-        if (r != target &&
-            replicas_[r].universe().Contains(rep.universe()))
-          sources.push_back(r);
-    }
+    const std::vector<std::size_t> sources = sources_covering(rep.universe());
     require(!sources.empty(),
             "BlotStore::RecoverPartition: no replica covers the target");
     for (std::size_t r : sources) {
@@ -1379,14 +1054,7 @@ std::uint64_t BlotStore::RecoverPartitionLocked(
     expected.push_back(logical->records()[idx]);
   const STRange needed = rep.index().Range(partition);
 
-  std::vector<std::size_t> sources;
-  if (source.has_value()) {
-    sources.push_back(*source);
-  } else {
-    for (std::size_t r = 0; r < replicas_.size(); ++r)
-      if (r != target && replicas_[r].universe().Contains(needed))
-        sources.push_back(r);
-  }
+  const std::vector<std::size_t> sources = sources_covering(needed);
   require(!sources.empty(),
           "BlotStore::RecoverPartition: no replica covers partition " +
               std::to_string(partition));
@@ -1399,13 +1067,7 @@ std::uint64_t BlotStore::RecoverPartitionLocked(
       if (!MultisetContains(fetched.records, expected)) continue;
     } catch (const PartitionFaultError& e) {
       // The source's own copies are bad: contain the damage and move on.
-      std::size_t newly_quarantined = 0;
-      for (const std::size_t p : e.partitions()) {
-        if (health_->Quarantine(r, p)) ++newly_quarantined;
-        PartitionCache::Global().Invalidate(replicas_[r].cache_id(), p);
-      }
-      RecordQuarantine(replicas_[r].config().Name(), e.partitions(),
-                       newly_quarantined, 0, health_->QuarantinedCount());
+      Fault(r, e);
       continue;
     }
     rep.RestorePartition(partition, expected);
@@ -1445,14 +1107,22 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
     std::span<const STRange> queries, const CostModel& model,
     ThreadPool* pool) {
   const std::uint64_t start_ns = obs::MonotonicNanos();
-  const bool profiling = obs::MetricsRegistry::global().enabled();
+  auto& registry = obs::MetricsRegistry::global();
+  const bool profiling = registry.enabled();
   RoutedBatchResult result;
   result.per_query.resize(queries.size());
   result.replica_of.resize(queries.size());
 
   // Queries whose group's shared scan failed; retried one-by-one through
-  // the failover path after the shared lock is released.
+  // Execute after the shared lock is released.
   std::vector<std::size_t> fallback;
+  const auto add_stats = [&result](const QueryStats& stats) {
+    result.stats.partitions_scanned += stats.partitions_scanned;
+    result.stats.records_scanned += stats.records_scanned;
+    result.stats.bytes_read += stats.bytes_read;
+    result.stats.cache_hits += stats.cache_hits;
+    result.stats.cache_misses += stats.cache_misses;
+  };
   std::uint64_t route_done_ns = start_ns;
   std::uint64_t scans_done_ns = start_ns;
   {
@@ -1462,12 +1132,8 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
     // replaces the ordered map (allocator churn on large batches).
     std::vector<std::vector<std::size_t>> groups(replicas_.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      const Ranking ranking = RankCandidates(queries[q], model, policy_);
-      require(ranking.covering > 0,
-              "BlotStore::RouteQuery: no replica can serve the query (add "
-              "a full replica)");
-      if (ranking.ranked.empty()) throw UnservableError(queries[q]);
-      const std::size_t replica = ranking.ranked.front().replica_index;
+      const std::size_t replica =
+          RankCandidates(queries[q], model).ranked.front().replica_index;
       result.replica_of[q] = replica;
       groups[replica].push_back(q);
     }
@@ -1483,41 +1149,23 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
             ::blot::ExecuteBatch(replicas_[replica], group, pool);
         for (std::size_t j = 0; j < query_ids.size(); ++j)
           result.per_query[query_ids[j]] = std::move(batch.per_query[j]);
-        result.stats.partitions_scanned += batch.stats.partitions_scanned;
-        result.stats.records_scanned += batch.stats.records_scanned;
-        result.stats.bytes_read += batch.stats.bytes_read;
-        result.stats.cache_hits += batch.stats.cache_hits;
-        result.stats.cache_misses += batch.stats.cache_misses;
+        add_stats(batch.stats);
         result.naive_partition_scans += batch.naive_partition_scans;
-      } catch (const CorruptData&) {
-        // The shared scan cannot attribute the fault to one partition:
-        // mark the group's involved partitions suspect (two strikes
-        // quarantine) and retry each query with per-query failover.
-        std::size_t newly_suspect = 0;
-        std::size_t newly_quarantined = 0;
-        std::vector<std::size_t> affected;
-        for (const std::size_t q : query_ids) {
-          for (const std::size_t p :
-               sketches_[replica].index.InvolvedPartitions(queries[q])) {
-            const PartitionHealth before = health_->Get(replica, p);
-            const PartitionHealth after = health_->MarkSuspect(replica, p);
-            if (after == PartitionHealth::kSuspect &&
-                before == PartitionHealth::kOk) {
-              ++newly_suspect;
-              affected.push_back(p);
-            }
-            if (after == PartitionHealth::kQuarantined &&
-                before != PartitionHealth::kQuarantined) {
-              ++newly_quarantined;
-              affected.push_back(p);
-            }
-          }
+        // Fallback queries are counted by Execute; count the shared-scan
+        // ones here.
+        if (profiling) {
+          static obs::Counter& routed_total =
+              registry.GetCounter("query.routed_total");
+          routed_total.Increment(query_ids.size());
+          registry
+              .GetCounter("query.routed_total",
+                          {{"replica", replicas_[replica].config().Name()}})
+              .Increment(query_ids.size());
         }
-        RecordQuarantine(replicas_[replica].config().Name(), affected,
-                         newly_quarantined, newly_suspect,
-                         health_->QuarantinedCount());
-        fallback.insert(fallback.end(), query_ids.begin(), query_ids.end());
-      } catch (const ReadError&) {
+      } catch (const PartitionFaultError& e) {
+        // The shared scan names its failing partitions: quarantine
+        // exactly those, then answer the group's queries one by one.
+        Fault(replica, e);
         fallback.insert(fallback.end(), query_ids.begin(), query_ids.end());
       }
     }
@@ -1528,11 +1176,7 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
     RoutedResult routed = Execute(queries[q], model, pool);
     result.per_query[q] = std::move(routed.result.records);
     result.replica_of[q] = routed.replica_index;
-    result.stats.partitions_scanned += routed.result.stats.partitions_scanned;
-    result.stats.records_scanned += routed.result.stats.records_scanned;
-    result.stats.bytes_read += routed.result.stats.bytes_read;
-    result.stats.cache_hits += routed.result.stats.cache_hits;
-    result.stats.cache_misses += routed.result.stats.cache_misses;
+    add_stats(routed.result.stats);
     result.naive_partition_scans += routed.result.stats.partitions_scanned;
   }
   const std::uint64_t end_ns = obs::MonotonicNanos();
@@ -1561,13 +1205,7 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
     profile.total_ms = result.measured_ms;
   }
 
-  auto& registry = obs::MetricsRegistry::global();
-  if (registry.enabled()) {
-    // Fallback queries were recorded by Execute() already; count only the
-    // shared-scan queries here.
-    std::vector<bool> via_fallback(queries.size(), false);
-    for (const std::size_t q : fallback) via_fallback[q] = true;
-    const std::size_t shared_scan_queries = queries.size() - fallback.size();
+  if (profiling) {
     static obs::Counter& batches_total =
         registry.GetCounter("query.batches_total");
     static obs::Counter& batch_queries =
@@ -1578,23 +1216,12 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
         registry.GetCounter("query.batch_shared_scans_saved_total");
     static obs::Histogram& batch_ms =
         registry.GetHistogram("query.batch_measured_ms");
-    static obs::Counter& routed_total =
-        registry.GetCounter("query.routed_total");
     batches_total.Increment();
     batch_queries.Increment(queries.size());
-    routed_total.Increment(shared_scan_queries);
     partitions_scanned.Increment(result.stats.partitions_scanned);
     scans_saved.Increment(result.naive_partition_scans -
                           result.stats.partitions_scanned);
     batch_ms.Observe(result.measured_ms);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      if (via_fallback[q]) continue;
-      registry
-          .GetCounter("query.routed_total",
-                      {{"replica",
-                        replicas_[result.replica_of[q]].config().Name()}})
-          .Increment();
-    }
   }
   return result;
 }
@@ -1707,6 +1334,10 @@ BlotStore BlotStore::Load(const std::filesystem::path& directory) {
     store.sketches_.push_back(
         ReplicaSketch::FromReplica(store.replicas_.back()));
     store.health_->AddReplica(store.replicas_.back().NumPartitions());
+    // Unlike AddReplica, the replica is not registered with latency_, so
+    // a loaded store routes without brownout penalties. Registering it
+    // changes routing; that waits for the cost-model calibration work,
+    // where routing changes are measured.
   }
   return store;
 }

@@ -104,9 +104,6 @@ struct FailoverPolicy {
   RepairMode repair = RepairMode::kSync;
   // Partitions repaired per sweep; 0 means every quarantined partition.
   std::size_t repair_budget = 0;
-  // Routing-cost multiplier for replicas with suspect involved
-  // partitions: still eligible, but only chosen when clearly cheapest.
-  double suspect_cost_penalty = 4.0;
 };
 
 class BlotStore {
@@ -193,16 +190,17 @@ class BlotStore {
     double estimated_cost_ms = 0.0;   // the cost model's prediction (Eq. 7)
     double measured_cost_ms = 0.0;    // wall clock of the real execution
     std::size_t predicted_partitions = 0;  // Np from the routing sketch
-    // Execution attempts spent (1 = first-choice replica succeeded).
+    // Execution attempts spent, always attempt_log.size() (1 = the
+    // first-choice replica succeeded).
     std::size_t attempts = 1;
-    // True when the first-choice replica failed and the result came from
-    // a failover replica (correct, but routing was not optimal).
+    // True when the answer did not come from routing's first choice: a
+    // failover, a hedged race the backup won, or partial serving.
     bool degraded = false;
     std::string served_by;  // config name of the serving replica
     // Process-unique id of this execution (QueryContext::query_id).
     std::uint64_t query_id = 0;
-    // One entry per failover-loop attempt, in order (the last entry is
-    // the serving replica when the query succeeded).
+    // One entry per attempt, in launch order: failover, both sides of a
+    // hedged race, and the partial-serving attempt alike.
     std::vector<QueryAttempt> attempt_log;
     // Per-stage breakdown of this query (docs/observability.md).
     // Populated when the global metrics registry is enabled or a trace
@@ -295,8 +293,8 @@ class BlotStore {
   };
 
   // The replica `model` estimates cheapest for `query` among healthy
-  // candidates (quarantined involvement excludes a replica; suspect
-  // involvement penalizes its cost), with the estimate and predicted
+  // candidates (quarantined involvement excludes a replica; a browned-out
+  // replica's cost is penalized), with the estimate and predicted
   // involvement that drove the choice. Throws QueryFailedError when
   // covering replicas exist but all are quarantined for this query.
   RoutingDecision RouteQueryDetailed(const STRange& query,
@@ -356,42 +354,68 @@ class BlotStore {
   };
 
   struct Ranking {
-    std::vector<RoutingDecision> ranked;  // best first
+    std::vector<RoutingDecision> ranked;  // best first, never empty
     std::size_t covering = 0;             // replicas able to serve at all
   };
+  // What one attempt on one replica produced (defined in store.cc).
+  struct AttemptOutcome;
 
-  // Health-aware candidate ranking; no locking (callers hold state_mutex).
-  Ranking RankCandidates(const STRange& query, const CostModel& model,
-                         const FailoverPolicy& policy) const;
+  // True when replica `i` may serve `query` (full, or a partial replica
+  // whose coverage contains it).
+  bool Covers(std::size_t i, const STRange& query) const;
+  // The quarantined partitions of `replica` that `query` involves,
+  // ascending; empty without a lookup when the replica is all ok.
+  std::vector<std::size_t> LostPartitions(std::size_t replica,
+                                          const STRange& query) const;
+  // Health-aware candidate ranking; no locking (callers hold
+  // state_mutex). Throws QueryFailedError when covering replicas exist
+  // but all are quarantined for this query.
+  Ranking RankCandidates(const STRange& query, const CostModel& model) const;
   // Builds the QueryFailedError for `query` from the current health map.
   QueryFailedError UnservableError(const STRange& query) const;
 
-  // The failover loop; caller holds state_mutex shared. All per-query
-  // state (profile, trace, attempt log) lives in `ctx`; shared state is
-  // only touched through the internally synchronized HealthMap, cache
-  // and metrics.
-  RoutedResult ExecuteWithFailover(const STRange& query,
-                                   const CostModel& model,
-                                   const FailoverPolicy& policy,
-                                   ThreadPool* pool, QueryContext& ctx);
-  // Hedged-read coordinator (ctx.hedge_ms > 0 and >= 2 covering
-  // replicas): runs the primary attempt on its own thread, races a
-  // backup on the next-cheapest replica if the primary exceeds the hedge
-  // threshold, returns the first complete answer and cancels the loser.
-  // Unlike ExecuteWithFailover the caller holds NO lock; each attempt
-  // takes its own shared lock so a queued writer cannot deadlock the
-  // coordinator against its attempts.
-  RoutedResult ExecuteHedged(const STRange& query, const CostModel& model,
-                             const FailoverPolicy& policy, ThreadPool* pool,
-                             QueryContext& ctx);
-  // Graceful degradation after failover exhausted every healthy replica:
-  // serves what remains by scanning the best covering replica around its
-  // quarantined partitions, reporting them as missed. Caller holds
-  // state_mutex shared. Throws UnservableError when even that fails.
-  RoutedResult TryPartialFallback(const STRange& query,
-                                  const CostModel& model,
-                                  const FailoverPolicy& policy,
-                                  ThreadPool* pool, QueryContext& ctx);
+  // The one execution pipeline; caller holds state_mutex shared. Every
+  // mode is a policy over the same walk down the ranking: a hedged read
+  // races the first two candidates, failover tries the next one, and
+  // partial serving is one more attempt around the quarantined
+  // partitions. All per-query state lives in `ctx`.
+  RoutedResult Drive(const STRange& query, const CostModel& model,
+                     const FailoverPolicy& policy, ThreadPool* pool,
+                     QueryContext& ctx,
+                     std::shared_lock<std::shared_mutex>& lock);
+  // The hedge policy: races Attempt on ranked[0] and, once that runs past
+  // the hedge threshold, on ranked[1]. Releases `lock` while the race
+  // runs (each attempt takes its own shared lock, so a queued writer
+  // cannot wedge the coordinator between them) and re-takes it. Logs the
+  // launched attempts, sets `served` to the winner (or to the furthest
+  // deadline-cut attempt), and returns how many candidates it used.
+  std::size_t Race(const STRange& query, const Ranking& ranking,
+                   ThreadPool* pool, QueryContext& ctx,
+                   std::shared_lock<std::shared_mutex>& lock,
+                   std::optional<RoutedResult>& served);
+  // The attempt primitive; caller holds state_mutex shared. Re-checks
+  // quarantine (skipping the replica, or with `around_lost` excluding
+  // the quarantined partitions), runs Replica::Execute and hands a read
+  // fault to Fault().
+  AttemptOutcome Attempt(const STRange& query, std::size_t replica,
+                         ScanOptions options, bool around_lost);
+  // Quarantines the partitions a read fault names, drops their cached
+  // decodes and records the quarantine metrics and event.
+  void Fault(std::size_t replica, const PartitionFaultError& error);
+  // Appends one attempt to the query's log and trace and counts it in
+  // failover.attempts_total.
+  void LogAttempt(QueryContext& ctx, std::size_t replica,
+                  const AttemptOutcome& outcome);
+  // The deadline-and-loss step after the walk ended without a complete
+  // answer: throws DeadlineExceededError or QueryFailedError, or, when
+  // the caller allows partial answers, returns the partial result.
+  RoutedResult Degrade(const STRange& query, const CostModel& model,
+                       const Ranking& ranking,
+                       std::optional<RoutedResult> served, ThreadPool* pool,
+                       QueryContext& ctx);
+  // Completes the returned result: attempt count, profile, trace
+  // attributes and the query.* metrics.
+  RoutedResult Finish(QueryContext& ctx, RoutedResult routed);
   // Per-policy repair scheduling after a query released the shared lock.
   void MaybeScheduleRepairs(ThreadPool* pool, const FailoverPolicy& policy);
 

@@ -16,6 +16,7 @@
 #include "core/partition_cache.h"
 #include "core/store.h"
 #include "obs/metrics.h"
+#include "testing/oracle.h"
 #include "util/error.h"
 
 namespace blot {
@@ -32,18 +33,9 @@ TEST(HealthMapTest, StateMachineTransitions) {
   EXPECT_TRUE(health.AllOk(0));
   EXPECT_EQ(health.Get(0, 2), PartitionHealth::kOk);
 
-  // ok -> suspect -> ok (clean read clears suspicion).
-  EXPECT_EQ(health.MarkSuspect(0, 2), PartitionHealth::kSuspect);
+  // Read faults quarantine directly; re-quarantine reports no change.
+  EXPECT_TRUE(health.Quarantine(0, 1));
   EXPECT_FALSE(health.AllOk(0));
-  health.MarkOk(0, 2);
-  EXPECT_TRUE(health.AllOk(0));
-
-  // Two unattributed strikes escalate to quarantined.
-  EXPECT_EQ(health.MarkSuspect(0, 1), PartitionHealth::kSuspect);
-  EXPECT_EQ(health.MarkSuspect(0, 1), PartitionHealth::kQuarantined);
-
-  // Attributed faults quarantine directly; re-quarantine reports no
-  // change.
   EXPECT_TRUE(health.Quarantine(0, 3));
   EXPECT_FALSE(health.Quarantine(0, 3));
   EXPECT_EQ(health.QuarantinedCount(), 2u);
@@ -60,12 +52,9 @@ TEST(HealthMapTest, QueriesOverPartitionSets) {
   health.AddReplica(8);
   health.AddReplica(4);
   health.Quarantine(0, 5);
-  health.MarkSuspect(1, 0);
 
   EXPECT_TRUE(health.AnyQuarantined(0, {1, 5}));
   EXPECT_FALSE(health.AnyQuarantined(0, {1, 2}));
-  EXPECT_TRUE(health.AnySuspect(1, {0, 3}));
-  EXPECT_FALSE(health.AnySuspect(1, {2, 3}));
 
   const std::vector<HealthMap::Target> quarantined = health.Quarantined();
   ASSERT_EQ(quarantined.size(), 1u);
@@ -73,8 +62,7 @@ TEST(HealthMapTest, QueriesOverPartitionSets) {
   EXPECT_EQ(quarantined[0].partition, 5u);
 
   const HealthMap::Counts counts = health.CountsFor(1);
-  EXPECT_EQ(counts.ok, 3u);
-  EXPECT_EQ(counts.suspect, 1u);
+  EXPECT_EQ(counts.ok, 4u);
   EXPECT_EQ(counts.quarantined, 0u);
 }
 
@@ -82,7 +70,6 @@ TEST(HealthMapTest, ResetReplicaReturnsEverythingToOk) {
   HealthMap health;
   health.AddReplica(4);
   health.Quarantine(0, 0);
-  health.MarkSuspect(0, 1);
   health.ResetReplica(0, 6);  // rebuild may change the partition count
   EXPECT_TRUE(health.AllOk(0));
   EXPECT_EQ(health.CountsFor(0).ok, 6u);
@@ -259,6 +246,11 @@ TEST_F(FailoverTest, RecoveryRefreshesCacheIdentitySoStaleDecodesNeverServe) {
 
 TEST_F(FailoverTest, BatchSharedScanFallsBackAndStaysCorrect) {
   BlotStore store = MakeStore();
+  // Repair waits for the explicit sweep below, so the quarantine the
+  // batch leaves behind can be inspected first.
+  FailoverPolicy policy;
+  policy.repair = RepairMode::kNone;
+  store.SetFailoverPolicy(policy);
   std::vector<STRange> queries;
   Rng rng(11);
   for (int i = 0; i < 5; ++i)
@@ -268,18 +260,158 @@ TEST_F(FailoverTest, BatchSharedScanFallsBackAndStaysCorrect) {
         universe, rng));
   queries.push_back(universe);
 
-  // Corrupt one replica's copy of everything the universe query needs,
-  // so at least its group's shared scan fails.
+  // Corrupt every other partition of the replica the universe query
+  // routes to: its group's shared scan reads all of them and fails.
   const std::size_t victim = store.RouteQuery(universe, model);
-  CorruptInvolved(store, victim, universe);
+  std::vector<std::size_t> corrupted;
+  for (std::size_t p = 0; p < store.replica(victim).NumPartitions(); p += 2) {
+    StoredPartition& unit = store.mutable_replica(victim).MutablePartition(p);
+    if (unit.data.empty()) continue;
+    unit.data[unit.data.size() / 2] ^= 0xFF;
+    corrupted.push_back(p);
+  }
+  ASSERT_FALSE(corrupted.empty());
 
+  const testing::Oracle oracle(dataset);
   const BlotStore::RoutedBatchResult batch =
       store.ExecuteBatch(queries, model);
   ASSERT_EQ(batch.per_query.size(), queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q)
     EXPECT_EQ(Sorted(batch.per_query[q]),
-              Sorted(dataset.FilterByRange(queries[q])))
+              Sorted(oracle.RangeQuery(queries[q])))
         << "query " << q;
+
+  // The shared scan names its failures: exactly the corrupted partitions
+  // are quarantined, and no healthy partition changed state.
+  for (std::size_t r = 0; r < store.NumReplicas(); ++r) {
+    for (std::size_t p = 0; p < store.replica(r).NumPartitions(); ++p) {
+      const bool bad =
+          r == victim && std::find(corrupted.begin(), corrupted.end(), p) !=
+                             corrupted.end();
+      EXPECT_EQ(store.health().Get(r, p), bad ? PartitionHealth::kQuarantined
+                                              : PartitionHealth::kOk)
+          << "replica " << r << " partition " << p;
+    }
+  }
+
+  // A synchronous repair sweep heals everything, and the next batch
+  // answers from the shared scan again.
+  EXPECT_EQ(store.RepairQuarantined(), corrupted.size());
+  EXPECT_EQ(store.health().QuarantinedCount(), 0u);
+  const BlotStore::RoutedBatchResult healed =
+      store.ExecuteBatch(queries, model);
+  for (std::size_t q = 0; q < queries.size(); ++q)
+    EXPECT_EQ(Sorted(healed.per_query[q]),
+              Sorted(oracle.RangeQuery(queries[q])))
+        << "query " << q;
+  EXPECT_EQ(store.health().QuarantinedCount(), 0u);
+}
+
+// Every path reports one attempt count: RoutedResult::attempts, the
+// attempt log, the profile and failover.attempts_total agree, including
+// a hedged race that fails over further and the partial-serving attempt.
+TEST_F(FailoverTest, AttemptsMatchTheAttemptLogOnEveryPath) {
+  auto& registry = obs::MetricsRegistry::global();
+  registry.Reset();
+  registry.set_enabled(true);
+  obs::Counter& attempts_total =
+      registry.GetCounter("failover.attempts_total");
+  const STRange query = CentroidQuery(0.3);
+  const auto run = [&](const std::string& path, BlotStore& store,
+                       const BlotStore::ExecOptions& exec) {
+    const std::uint64_t before = attempts_total.value();
+    BlotStore::RoutedResult routed = store.Execute(query, model, exec);
+    EXPECT_EQ(routed.attempts, routed.attempt_log.size()) << path;
+    EXPECT_EQ(routed.profile.attempts, routed.attempts) << path;
+    EXPECT_EQ(attempts_total.value() - before, routed.attempts) << path;
+    return routed;
+  };
+  // Stalls every read of `replica` (empty: all replicas).
+  const auto stall = [](double ms, const std::string& replica) {
+    FaultPlan plan;
+    plan.kinds = {FaultKind::kLatency};
+    plan.max_fires_per_target = 0;
+    plan.latency_ms = static_cast<std::uint32_t>(ms);
+    plan.replica = replica;
+    FaultInjector::Global().Arm(plan);
+  };
+  const auto name = [](const BlotStore& store, std::size_t replica) {
+    return store.replica(replica).config().Name();
+  };
+
+  {
+    BlotStore store = MakeStore();
+    EXPECT_EQ(run("plain", store, {}).attempts, 1u);
+  }
+  {
+    BlotStore store = MakeStore();
+    CorruptInvolved(store, store.RouteQuery(query, model), query);
+    const BlotStore::RoutedResult routed = run("failed over", store, {});
+    EXPECT_EQ(routed.attempts, 2u);
+    EXPECT_TRUE(routed.degraded);
+  }
+  {
+    BlotStore store = MakeStore();
+    stall(60.0, name(store, store.RouteQuery(query, model)));
+    const BlotStore::RoutedResult routed =
+        run("hedge won", store, {.hedge_ms = 5.0});
+    FaultInjector::Global().Disarm();
+    EXPECT_TRUE(routed.hedge_backup_won);
+    EXPECT_EQ(routed.attempts, 2u);
+  }
+  {
+    // Learn routing's first two choices, then fail both: the stalled
+    // primary triggers the backup, both fault, and the walk goes on to
+    // the third replica.
+    BlotStore store = MakeStore(3);
+    FailoverPolicy policy;
+    policy.repair = RepairMode::kNone;
+    store.SetFailoverPolicy(policy);
+    const std::size_t first = store.RouteQuery(query, model);
+    CorruptInvolved(store, first, query);
+    const std::size_t second = store.Execute(query, model).replica_index;
+    ASSERT_NE(second, first);
+    store.RepairQuarantined();
+    ASSERT_EQ(store.RouteQuery(query, model), first);
+    CorruptInvolved(store, first, query);
+    CorruptInvolved(store, second, query);
+    stall(10.0, name(store, first));
+    const BlotStore::RoutedResult routed =
+        run("both hedged attempts failed", store, {.hedge_ms = 2.0});
+    FaultInjector::Global().Disarm();
+    EXPECT_TRUE(routed.hedged);
+    EXPECT_EQ(routed.attempts, 3u);
+    EXPECT_NE(routed.replica_index, first);
+    EXPECT_NE(routed.replica_index, second);
+    EXPECT_EQ(Sorted(routed.result.records),
+              Sorted(dataset.FilterByRange(query)));
+  }
+  {
+    BlotStore store = MakeStore();
+    CorruptInvolved(store, 0, query);
+    CorruptInvolved(store, 1, query);
+    const BlotStore::RoutedResult routed =
+        run("partial fallback", store, {.allow_partial = true});
+    EXPECT_TRUE(routed.partial);
+    EXPECT_EQ(routed.attempts, 3u);
+  }
+  {
+    BlotStore store = MakeStore();
+    stall(30.0, "");
+    const BlotStore::RoutedResult routed =
+        run("deadline partial", store,
+            {.deadline_ms = 5.0, .allow_partial = true});
+    EXPECT_TRUE(routed.partial);
+    // Without allow_partial the error reports the same count.
+    const std::uint64_t before = attempts_total.value();
+    try {
+      store.Execute(query, model, {.deadline_ms = 5.0});
+      ADD_FAILURE() << "expected DeadlineExceededError";
+    } catch (const DeadlineExceededError& e) {
+      EXPECT_EQ(attempts_total.value() - before, e.attempts());
+    }
+    FaultInjector::Global().Disarm();
+  }
 }
 
 TEST_F(FailoverTest, MetricsAccountForEveryInjectedFault) {

@@ -35,9 +35,16 @@ grep -q 'overload_shed_rate_pct' closed.json && fail "closed-only has open metri
     --out open.json || fail "open-only run"
 grep -q 'overload_shed_rate_pct' open.json || fail "open-only metrics"
 
-# Usage errors must be caught (structured InvalidArgument, not a crash).
+# Usage errors must be caught (structured InvalidArgument, not a crash)
+# and exit 2 with the usage text, never abort.
 "$BLOTLOAD" --mode sideways 2>/dev/null && fail "bad mode accepted"
 "$BLOTLOAD" --no-such-flag 1 2>/dev/null && fail "unknown flag accepted"
+"$BLOTLOAD" --help 2>usage.txt
+[ $? -eq 2 ] || fail "--help exit code"
+grep -q "usage: blotload" usage.txt || fail "--help prints no usage"
+"$BLOTLOAD" --no-such-flag 1 2>usage.txt
+[ $? -eq 2 ] || fail "unknown flag exit code"
+grep -q "usage: blotload" usage.txt || fail "unknown flag prints no usage"
 
 # --- blotctl store-query --concurrency/--repeat -----------------------
 "$BLOTCTL" generate --out fleet.bin --taxis 10 --samples 150 \

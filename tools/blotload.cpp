@@ -171,9 +171,23 @@ LatencyLegResult RunLatencyLeg(serve::QueryServer& server,
   return leg;
 }
 
-}  // namespace
+int Usage() {
+  std::fprintf(
+      stderr,
+      "usage: blotload [--out path] [--mode all|closed|open|latency]\n"
+      "                [--records N] [--shapes K] [--threads 1,8]\n"
+      "                [--clients C] [--duration-s S] [--io-ms MS]\n"
+      "                [--overload-factor F] [--max-inflight N]\n"
+      "                [--cache-mb MB] [--seed S] [--deadline-ms D]\n"
+      "                [--hedge-ms H]\n"
+      "\n"
+      "exit codes: 0 every admitted result consistent, 1 mismatch or\n"
+      "            error, 2 usage/invalid argument\n");
+  return 2;
+}
 
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
+  if (argc > 1 && std::string(argv[1]) == "--help") return Usage();
   tools::Flags flags(argc, argv, 1,
                      {"out", "mode", "records", "shapes", "threads",
                       "clients", "duration-s", "io-ms", "overload-factor",
@@ -287,7 +301,7 @@ int main(int argc, char** argv) {
                                         duration_s, mismatches);
       server.Drain();
       const auto stats = server.stats();
-      require(stats.shed == 0, "closed loop must not shed");
+      ensure(stats.shed == 0, "closed loop must not shed");
       const double p50 = Percentile(phase.latencies_ms, 50);
       const double p95 = Percentile(phase.latencies_ms, 95);
       const double p99 = Percentile(phase.latencies_ms, 99);
@@ -372,7 +386,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.shed), shed_rate_pct,
         retry_after_count > 0 ? retry_after_sum / double(retry_after_count)
                               : 0.0);
-    require(stats.failed == 0, "admitted queries must not fail");
+    ensure(stats.failed == 0, "admitted queries must not fail");
     report.Metric("open_loop_offered_qps", offered_qps);
     report.Metric("open_loop_admitted", double(stats.admitted));
     report.Metric("open_loop_shed", double(stats.shed));
@@ -491,4 +505,25 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out.c_str());
   std::printf("admitted-result consistency: %s\n", bad == 0 ? "YES" : "NO");
   return bad == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+// Exit codes as in blotctl: a usage error prints the usage and exits 2,
+// any other failure exits 1; nothing escapes main.
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const InvalidArgument& e) {
+    std::fprintf(stderr, "invalid argument: %s\n", e.what());
+    return Usage();
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  } catch (const std::exception& e) {
+    // Foreign exceptions here are malformed numeric flags (std::stod and
+    // friends), i.e. caller errors.
+    std::fprintf(stderr, "invalid argument: %s\n", e.what());
+    return Usage();
+  }
 }
