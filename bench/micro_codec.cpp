@@ -4,6 +4,8 @@
 // fastest, GZIP middle, LZMA slowest per byte in both directions.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "bench_common.h"
 #include "gbench_capture.h"
 #include "blot/encoding_scheme.h"
@@ -80,9 +82,37 @@ BENCHMARK_CAPTURE(BM_DecodePartition, col_gzip, "COL-GZIP");
 BENCHMARK_CAPTURE(BM_DecodePartition, col_lzma, "COL-LZMA");
 
 }  // namespace
+
+namespace bench {
+namespace {
+
+// Tracked metrics for the CI perf tripwire: throughput ratios between
+// runs of this same binary, so they hold across machines. Both put the
+// Gzip-class decoder against the Snappy-class one, the fastest point of
+// the frontier; a drop means the middle codec's decode got slower.
+void DeriveTracked(const CaptureReporter& reporter, BenchReport& report) {
+  // Both runs process the same bytes (records), so the throughput ratio
+  // is the inverse ratio of their per-iteration times.
+  const auto throughput_ratio = [&](const char* name, const std::string& run,
+                                    const std::string& reference) {
+    const double run_ns = reporter.RealNs(run);
+    const double reference_ns = reporter.RealNs(reference);
+    if (run_ns > 0 && reference_ns > 0)
+      report.Metric(name, reference_ns / run_ns, /*tracked=*/true);
+  };
+  throughput_ratio("gzip_vs_snappy_decode_mbps", "BM_Decompress/gzip",
+                   "BM_Decompress/snappy");
+  throughput_ratio("col_gzip_vs_row_snappy_decode_recps",
+                   "BM_DecodePartition/col_gzip",
+                   "BM_DecodePartition/row_snappy");
+}
+
+}  // namespace
+}  // namespace bench
 }  // namespace blot
 
 int main(int argc, char** argv) {
   return blot::bench::RunAndReport(argc, argv, "micro_codec",
-                                   "BENCH_codec.json");
+                                   "BENCH_codec.json",
+                                   blot::bench::DeriveTracked);
 }

@@ -1,43 +1,14 @@
 #include "codec/bitstream.h"
 
-#include "util/error.h"
-
 namespace blot {
 
-void BitWriter::WriteBits(std::uint32_t bits, int count) {
-  require(count >= 0 && count <= 32, "BitWriter: bit count out of range");
-  for (int i = 0; i < count; ++i) {
-    current_ |= static_cast<std::uint8_t>((bits >> i) & 1u) << bit_position_;
-    if (++bit_position_ == 8) {
-      buffer_.push_back(current_);
-      current_ = 0;
-      bit_position_ = 0;
-    }
-  }
-}
-
 Bytes BitWriter::Finish() {
-  if (bit_position_ > 0) {
-    buffer_.push_back(current_);
-    current_ = 0;
-    bit_position_ = 0;
+  if (pending_bits_ > 0) {
+    buffer_.push_back(static_cast<std::uint8_t>(pending_));
+    pending_ = 0;
+    pending_bits_ = 0;
   }
   return std::move(buffer_);
-}
-
-std::uint32_t BitReader::ReadBits(int count) {
-  require(count >= 0 && count <= 32, "BitReader: bit count out of range");
-  std::uint32_t v = 0;
-  for (int i = 0; i < count; ++i) v |= ReadBit() << i;
-  return v;
-}
-
-std::uint32_t BitReader::ReadBit() {
-  validate(bit_position_ < data_.size() * 8, "BitReader: truncated input");
-  const std::uint32_t bit =
-      (data_[bit_position_ >> 3] >> (bit_position_ & 7)) & 1u;
-  ++bit_position_;
-  return bit;
 }
 
 }  // namespace blot

@@ -218,8 +218,9 @@ Bytes GzipLikeCodec::Decompress(BytesView input) const {
         kDistBase[dc] + bits.ReadBits(kDistExtra[dc]);
     validate(distance >= 1 && distance <= out.size(),
              "GzipLike: copy distance out of range");
-    std::size_t from = out.size() - distance;
-    for (std::uint32_t i = 0; i < length; ++i) out.push_back(out[from + i]);
+    validate(out.size() + length <= expected_size,
+             "GzipLike: match overruns declared size");
+    AppendMatch(out, distance, length);
   }
   validate(out.size() == expected_size,
            "GzipLike: size mismatch after decompression");

@@ -105,23 +105,28 @@ std::vector<std::uint16_t> CanonicalCodes(
   return codes;
 }
 
+// Reverses the low `length` bits of `code`.
+std::uint16_t ReverseBits(std::uint32_t code, int length) {
+  std::uint32_t reversed = 0;
+  for (int i = 0; i < length; ++i)
+    reversed |= ((code >> i) & 1u) << (length - 1 - i);
+  return static_cast<std::uint16_t>(reversed);
+}
+
 }  // namespace
 
 HuffmanEncoder::HuffmanEncoder(const std::vector<std::uint8_t>& lengths)
-    : codes_(CanonicalCodes(lengths)), lengths_(lengths) {}
-
-void HuffmanEncoder::Write(BitWriter& out, std::size_t symbol) const {
-  ensure(symbol < lengths_.size() && lengths_[symbol] > 0,
-         "HuffmanEncoder: symbol has no code");
-  const std::uint16_t code = codes_[symbol];
-  const int len = lengths_[symbol];
-  for (int i = len - 1; i >= 0; --i) out.WriteBits((code >> i) & 1u, 1);
+    : reversed_codes_(CanonicalCodes(lengths)), lengths_(lengths) {
+  for (std::size_t s = 0; s < lengths_.size(); ++s)
+    reversed_codes_[s] = ReverseBits(reversed_codes_[s], lengths_[s]);
 }
 
 HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t>& lengths)
     : first_code_(kMaxHuffmanBits + 1, 0),
       first_index_(kMaxHuffmanBits + 1, 0),
       count_(kMaxHuffmanBits + 1, 0) {
+  require(lengths.size() <= kMaxTableSymbols,
+          "HuffmanDecoder: alphabet too large for the decode table");
   for (std::uint8_t len : lengths) {
     validate(len <= kMaxHuffmanBits, "HuffmanDecoder: code length too long");
     if (len > 0) count_[len]++;
@@ -142,16 +147,36 @@ HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t>& lengths)
     if (lengths[s] == 0) continue;
     symbols_[next_index[lengths[s]]++] = static_cast<std::uint32_t>(s);
   }
+
+  // A code of length L <= kTableBits owns every table slot whose low L
+  // bits are its reversed code; the high bits are the stream bits after it.
+  table_.assign(std::size_t{1} << kTableBits, 0);
+  for (int len = 1; len <= kTableBits; ++len) {
+    for (std::uint32_t i = 0; i < count_[len]; ++i) {
+      const std::uint32_t symbol = symbols_[first_index_[len] + i];
+      const auto entry = static_cast<std::uint16_t>(
+          (symbol << 4) | static_cast<std::uint32_t>(len));
+      for (std::uint32_t slot = ReverseBits(first_code_[len] + i, len);
+           slot < table_.size(); slot += 1u << len)
+        table_[slot] = entry;
+    }
+  }
 }
 
-std::size_t HuffmanDecoder::Read(BitReader& in) const {
+std::size_t HuffmanDecoder::ReadLong(BitReader& in) const {
+  const std::uint32_t bits = in.Peek(kMaxHuffmanBits);
   std::uint32_t code = 0;
   for (int len = 1; len <= kMaxHuffmanBits; ++len) {
-    code = (code << 1) | in.ReadBit();
+    code = (code << 1) | ((bits >> (len - 1)) & 1u);
     const std::uint32_t offset = code - first_code_[len];
-    if (code >= first_code_[len] && offset < count_[len])
+    if (code >= first_code_[len] && offset < count_[len]) {
+      in.Skip(len);
       return symbols_[first_index_[len] + offset];
+    }
   }
+  // No code matches: with fewer than kMaxHuffmanBits bits left that is
+  // truncation, as it was when codes were read one bit at a time.
+  in.Skip(kMaxHuffmanBits);
   throw CorruptData("HuffmanDecoder: invalid code");
 }
 

@@ -4,11 +4,13 @@
 // with a hash-chain matcher: a hash table over 4-byte prefixes whose
 // buckets chain all previous occurrences within the window. The codecs
 // differ in window size, chain depth (search effort), and in how tokens
-// are entropy-coded.
+// are entropy-coded. All three LZ decoders expand matches through
+// AppendMatch.
 #ifndef BLOT_CODEC_LZ_COMMON_H_
 #define BLOT_CODEC_LZ_COMMON_H_
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "util/bytes.h"
@@ -56,6 +58,23 @@ class HashChainMatcher {
   std::vector<std::int64_t> head_;  // hash bucket -> most recent position
   std::vector<std::int64_t> prev_;  // position -> previous with same hash
 };
+
+// Appends the `length` bytes that start `distance` bytes before the end
+// of `out`. The caller has checked 1 <= distance <= out.size(). When the
+// source overlaps the bytes being written (distance < length) the copy
+// runs forward byte by byte, so it replicates the last `distance` bytes
+// as LZ77 requires; otherwise it is one memcpy.
+inline void AppendMatch(Bytes& out, std::size_t distance, std::size_t length) {
+  const std::size_t start = out.size();
+  out.insert(out.end(), length, 0);
+  std::uint8_t* dst = out.data() + start;
+  const std::uint8_t* src = dst - distance;
+  if (distance >= length) {
+    std::memcpy(dst, src, length);
+  } else {
+    for (std::size_t i = 0; i < length; ++i) dst[i] = src[i];
+  }
+}
 
 }  // namespace blot
 

@@ -192,8 +192,7 @@ Bytes LzmaLikeCodec::Decompress(BytesView input) const {
              "LzmaLike: copy distance out of range");
     validate(out.size() + length <= expected_size,
              "LzmaLike: match overruns declared size");
-    std::size_t from = out.size() - distance;
-    for (std::uint32_t i = 0; i < length; ++i) out.push_back(out[from + i]);
+    AppendMatch(out, distance, length);
     prev_byte = out.back();
   }
   return out;

@@ -98,10 +98,7 @@ Bytes SnappyLikeCodec::Decompress(BytesView input) const {
       const std::size_t distance = in.GetU16();
       validate(distance >= 1 && distance <= out.size(),
                "SnappyLike: copy distance out of range");
-      // Byte-by-byte copy: overlapping copies (distance < length) must
-      // replicate already-produced output.
-      std::size_t from = out.size() - distance;
-      for (std::size_t i = 0; i < len; ++i) out.push_back(out[from + i]);
+      AppendMatch(out, distance, len);
     } else {
       throw CorruptData("SnappyLike: unknown tag");
     }

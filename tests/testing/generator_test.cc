@@ -40,8 +40,8 @@ TEST(GeneratorTest, EveryRecordLiesInsideTheUniverse) {
     DatasetProfile profile;
     profile.extreme_fraction = 0.4;
     profile.boundary_fraction = 0.4;
-    for (const Record& r :
-         GenerateDataset(rng, universe, profile).records())
+    const Dataset dataset = GenerateDataset(rng, universe, profile);
+    for (const Record& r : dataset.records())
       EXPECT_TRUE(universe.Contains(r.Position()))
           << "seed " << seed << ": " << DescribeRecord(r);
   }

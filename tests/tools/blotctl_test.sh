@@ -18,6 +18,21 @@ fail() { echo "FAIL: $1" >&2; exit 1; }
     || fail "generate csv"
 head -1 fleet.csv | grep -q "oid,time" || fail "csv header"
 
+# The format follows the extension, so a .csv dataset reads back as CSV
+# without --format; a --format that contradicts the extension is a usage
+# error (exit 2) and writes nothing.
+"$BLOTCTL" generate --out inferred.csv --taxis 3 --samples 20 \
+    || fail "generate inferred csv"
+head -1 inferred.csv | grep -q "oid,time" || fail "inferred csv header"
+"$BLOTCTL" build --data inferred.csv --out rep_csv \
+    --scheme KD4xT4/ROW-SNAPPY >/dev/null || fail "build from inferred csv"
+"$BLOTCTL" generate --out mismatch.csv --format bin 2>/dev/null
+[ $? -eq 2 ] || fail "--format bin on a .csv path: want exit 2"
+"$BLOTCTL" generate --out mismatch.bin --format csv 2>/dev/null
+[ $? -eq 2 ] || fail "--format csv on a .bin path: want exit 2"
+[ ! -e mismatch.csv ] && [ ! -e mismatch.bin ] \
+    || fail "rejected generate left a file behind"
+
 "$BLOTCTL" build --data fleet.bin --out rep_a --scheme KD8xT4/COL-GZIP \
     || fail "build a"
 "$BLOTCTL" build --data fleet.bin --out rep_b \

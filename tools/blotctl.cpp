@@ -49,7 +49,7 @@ int Usage() {
       "usage: blotctl <command> [--flag value ...]\n"
       "\n"
       "  generate   --out FILE [--taxis N] [--samples N] [--seed S]\n"
-      "             [--format csv|bin]\n"
+      "             [--format csv|bin]  (must match FILE: .csv is CSV)\n"
       "  build      --data FILE --out DIR [--scheme KD64xT16/COL-GZIP]\n"
       "             [--hybrid 1]\n"
       "  info       --dir DIR\n"
@@ -172,11 +172,12 @@ void PrintCacheSummaryIfEnabled() {
               static_cast<unsigned long long>(s.evictions));
 }
 
+bool IsCsvPath(const std::string& path) { return path.ends_with(".csv"); }
+
 Dataset LoadDataset(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   require(in.good(), "cannot open dataset: " + path);
-  if (path.size() >= 4 && path.substr(path.size() - 4) == ".csv")
-    return Dataset::ReadCsv(in);
+  if (IsCsvPath(path)) return Dataset::ReadCsv(in);
   return Dataset::ReadBinary(in);
 }
 
@@ -225,14 +226,20 @@ int CmdGenerate(const Flags& flags) {
       static_cast<std::size_t>(flags.GetInt("samples", 1000));
   config.seed = flags.GetUint64("seed", 20071101);
   const std::string out = flags.GetString("out");
-  const std::string format = flags.GetString("format", "bin");
+  // LoadDataset picks the reader by extension, so the writer must agree
+  // with it: a ".csv" path is CSV, anything else is binary.
+  const std::string implied = IsCsvPath(out) ? "csv" : "bin";
+  const std::string format = flags.GetString("format", implied);
+  require(format == "csv" || format == "bin", "format must be csv or bin");
+  require(format == implied, "--format " + format + " contradicts --out " +
+                                 out + " (a .csv path is read as CSV, "
+                                 "any other as binary)");
   const Dataset dataset = GenerateTaxiFleet(config);
   std::ofstream file(out, std::ios::binary | std::ios::trunc);
   require(file.good(), "cannot open output: " + out);
   if (format == "csv") {
     dataset.WriteCsv(file);
   } else {
-    require(format == "bin", "format must be csv or bin");
     dataset.WriteBinary(file);
   }
   std::printf("wrote %zu records to %s (%s)\n", dataset.size(), out.c_str(),
