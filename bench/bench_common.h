@@ -46,6 +46,11 @@ class BenchReport {
   void Info(const std::string& key, std::uint64_t value) {
     info_.emplace_back(key, std::to_string(value));
   }
+  bool HasTrackedMetric() const {
+    for (const MetricEntry& m : metrics_)
+      if (m.tracked) return true;
+    return false;
+  }
   // `raw_json` must be a complete, pre-rendered JSON value.
   void Extra(const std::string& key, std::string raw_json) {
     extra_.emplace_back(key, std::move(raw_json));

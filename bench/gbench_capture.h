@@ -5,8 +5,12 @@
 // BenchReport schema as the handwritten ones: a CaptureReporter keeps
 // every run's per-iteration timings (and user counters) while still
 // printing the normal console table, and RunAndReport() folds them into
-// BENCH_<name>.json after the benchmarks finish. A bench can pass a
-// `finish` hook to derive tracked ratio metrics from the captured runs.
+// BENCH_<name>.json after the benchmarks finish. With
+// --benchmark_repetitions, each benchmark is captured once, as the
+// `median` aggregate of its repetitions (with or without
+// --benchmark_report_aggregates_only). A bench can pass a `finish` hook
+// to derive tracked ratio metrics from the captured runs; such a bench
+// fails (exit 1) when its report ends up with no tracked metric.
 #ifndef BLOT_BENCH_GBENCH_CAPTURE_H_
 #define BLOT_BENCH_GBENCH_CAPTURE_H_
 
@@ -32,14 +36,26 @@ class CaptureReporter : public benchmark::ConsoleReporter {
   void ReportRuns(
       const std::vector<benchmark::BenchmarkReporter::Run>& runs) override {
     for (const auto& run : runs) {
-      if (run.run_type !=
-          benchmark::BenchmarkReporter::Run::RT_Iteration)
-        continue;
       if (run.error_occurred) continue;
+      const bool median =
+          run.run_type == benchmark::BenchmarkReporter::Run::RT_Aggregate &&
+          run.aggregate_name == "median";
+      if (run.run_type !=
+              benchmark::BenchmarkReporter::Run::RT_Iteration &&
+          !median)
+        continue;
       const double iters =
           run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
       Sample sample;
-      sample.name = run.benchmark_name();
+      // The run name without an aggregate suffix, so a median is found
+      // under the same name as a single run.
+      sample.name = run.run_name.str();
+      // A median replaces the repetitions it summarizes (reported
+      // before it, unless only aggregates are reported).
+      if (median)
+        std::erase_if(samples_, [&](const Sample& s) {
+          return s.name == sample.name;
+        });
       // Accumulated times are seconds regardless of the display unit.
       sample.real_ns = run.real_accumulated_time / iters * 1e9;
       sample.cpu_ns = run.cpu_accumulated_time / iters * 1e9;
@@ -53,8 +69,9 @@ class CaptureReporter : public benchmark::ConsoleReporter {
 
   const std::vector<Sample>& samples() const { return samples_; }
 
-  // Per-iteration real time of the run named exactly `name`, or -1 when
-  // it did not run (filtered out, errored).
+  // Per-iteration real time of the run named exactly `name` (the median
+  // over repetitions when they ran), or -1 when it did not run (filtered
+  // out, errored).
   double RealNs(const std::string& name) const {
     for (const Sample& s : samples_)
       if (s.name == name) return s.real_ns;
@@ -98,6 +115,13 @@ inline int RunAndReport(int argc, char** argv, const char* bench_name,
   if (finish != nullptr) finish(reporter, report);
   if (!report.Write(path)) return 1;
   std::printf("wrote %s\n", path.c_str());
+  if (finish != nullptr && !report.HasTrackedMetric()) {
+    std::fprintf(stderr,
+                 "%s: no tracked metric in %s (the runs it is derived "
+                 "from were filtered out or failed)\n",
+                 bench_name, path.c_str());
+    return 1;
+  }
   return 0;
 }
 

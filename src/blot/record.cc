@@ -1,5 +1,7 @@
 #include "blot/record.h"
 
+#include <array>
+#include <bit>
 #include <charconv>
 #include <cstdlib>
 
@@ -25,7 +27,49 @@ T ParseInteger(const std::string& s) {
   return v;
 }
 
+// The high and low halves of the 128-bit product a*b folded together:
+// one multiply spreads each input bit across the whole output word.
+std::uint64_t MulFold(std::uint64_t a, std::uint64_t b) {
+  const unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
+  return static_cast<std::uint64_t>(product) ^
+         static_cast<std::uint64_t>(product >> 64);
+}
+
+// Every field packed into five 64-bit words, time first. A zero stores as
+// +0.0, as the column codecs decode it, so records equal under operator==
+// give equal words.
+std::array<std::uint64_t, 5> Words(const Record& r) {
+  const auto bits = [](double v) {
+    return std::bit_cast<std::uint64_t>(v == 0.0 ? 0.0 : v);
+  };
+  const std::uint32_t speed =
+      std::bit_cast<std::uint32_t>(r.speed == 0.0f ? 0.0f : r.speed);
+  return {static_cast<std::uint64_t>(r.time), bits(r.x), bits(r.y),
+          r.oid | std::uint64_t{r.fare_cents} << 32,
+          speed | std::uint64_t{r.heading} << 32 |
+              std::uint64_t{r.status} << 48 |
+              std::uint64_t{r.passengers} << 56};
+}
+
 }  // namespace
+
+std::uint64_t RecordHash(const Record& r) {
+  constexpr std::uint64_t kSeed = 0x243F6A8885A308D3ull;  // pi
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;   // golden ratio
+  std::uint64_t h = kSeed;
+  for (const std::uint64_t w : Words(r)) h = MulFold(h ^ w, kMul);
+  return h;
+}
+
+bool RecordKeyLess(const Record& a, const Record& b) {
+  return Words(a) < Words(b);
+}
+
+std::uint64_t MultisetDigest(std::span<const Record> records) {
+  std::uint64_t sum = 0;
+  for (const Record& r : records) sum += RecordHash(r);
+  return sum;
+}
 
 const std::vector<std::string>& RecordFieldNames() {
   static const std::vector<std::string> names = {

@@ -8,6 +8,7 @@
 #define BLOT_BLOT_RECORD_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,21 @@ struct Record {
 // Size of one record in the fixed-width row layout.
 inline constexpr std::size_t kRecordRowBytes =
     4 + 8 + 8 + 8 + 4 + 2 + 1 + 1 + 4;
+
+// A 64-bit hash of every field: the fields are packed into five 64-bit
+// words, each folded in with one 64x64->128-bit multiply. Records equal
+// under operator== hash equally (-0.0 as +0.0); otherwise the float
+// fields count by their bits.
+std::uint64_t RecordHash(const Record& r);
+
+// A total order over the same packed words, time first (NaN-safe, unlike
+// comparing the doubles): records it ranks equivalent hash equally.
+bool RecordKeyLess(const Record& a, const Record& b);
+
+// Order-independent digest of a record multiset: the wrap-around sum of
+// RecordHash over `records`. Any order of the same records gives the same
+// digest, and duplicates add up instead of cancelling (a sum, not an XOR).
+std::uint64_t MultisetDigest(std::span<const Record> records);
 
 // Column names in schema order, for CSV headers and diagnostics.
 const std::vector<std::string>& RecordFieldNames();

@@ -45,6 +45,7 @@ StoredPartition EncodeStoredPartition(const std::vector<Record>& records,
                                       const ReplicaConfig& config) {
   StoredPartition stored;
   stored.num_records = records.size();
+  stored.digest = MultisetDigest(records);
   stored.format = LayoutFormat::kBlocked;
   if (const auto zone = ComputePartitionZone(records)) {
     stored.has_zone = true;

@@ -115,7 +115,10 @@ class PartitionFaults {
 // TIME x LOC cuboid over the partition's records — tighter than the
 // partitioning cell, so Execute can skip the whole partition without
 // touching its bytes; partitions containing NaN coordinates carry no
-// zone and are never skipped.
+// zone and are never skipped. `digest` is the MultisetDigest of the
+// records (record.h): repair checks records rebuilt from other replicas
+// against it. Partitions loaded from a manifest older than version 3
+// have none.
 struct StoredPartition {
   std::uint64_t num_records = 0;
   Bytes data;               // encoded (layout + codec) bytes
@@ -124,6 +127,7 @@ struct StoredPartition {
   LayoutFormat format = LayoutFormat::kBlocked;
   bool has_zone = false;
   STRange zone;
+  std::optional<std::uint64_t> digest;
 };
 
 // Per-query execution accounting, the raw inputs of the cost model:

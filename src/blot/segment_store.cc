@@ -15,9 +15,14 @@ constexpr std::uint64_t kManifestMagic = 0x31474553544F4C42ull;  // "BLOTSEG1"
 //   2 — adds per-partition {layout format, has_zone, zone range}: the
 //       wire format the payload was serialized with and the partition's
 //       exact bounding cuboid for zone-map pruning.
-// Load accepts both; version-1 partitions come back as kLegacy with no
-// zone, so old segment directories keep working unchanged.
-constexpr std::uint32_t kManifestVersion = 2;
+//   3 — adds per-partition {has_digest, digest}: the order-independent
+//       multiset digest of the partition's records that partition repair
+//       verifies against.
+// Load accepts all three; version-1 partitions come back as kLegacy with
+// no zone, and partitions before version 3 come back without a digest
+// (their repair rebuilds the whole replica), so old segment directories
+// keep working unchanged.
+constexpr std::uint32_t kManifestVersion = 3;
 
 const char* kManifestName = "manifest.blot";
 const char* kSegmentsName = "segments.dat";
@@ -110,6 +115,8 @@ void SegmentStore::Save(const Replica& replica,
     manifest.PutU8(static_cast<std::uint8_t>(stored.format));
     manifest.PutU8(stored.has_zone ? 1 : 0);
     if (stored.has_zone) PutRange(manifest, stored.zone);
+    manifest.PutU8(stored.digest.has_value() ? 1 : 0);
+    if (stored.digest) manifest.PutU64(*stored.digest);
   }
   // Whole-manifest checksum excluding this trailing field.
   manifest.PutU64(Fnv1a64(manifest.buffer()));
@@ -130,7 +137,7 @@ Replica SegmentStore::Load(const std::filesystem::path& directory) {
   validate(manifest.GetU64() == kManifestMagic,
            "SegmentStore: bad manifest magic");
   const std::uint32_t version = manifest.GetU32();
-  validate(version == 1 || version == kManifestVersion,
+  validate(version >= 1 && version <= kManifestVersion,
            "SegmentStore: unsupported manifest version");
   ReplicaConfig config;
   config.encoding = EncodingScheme::FromName(manifest.GetString());
@@ -177,6 +184,11 @@ Replica SegmentStore::Load(const std::filesystem::path& directory) {
       // format and no zone exists — the partition is never zone-skipped.
       stored.format = LayoutFormat::kLegacy;
       stored.has_zone = false;
+    }
+    if (version >= 3) {
+      const std::uint8_t has_digest = manifest.GetU8();
+      validate(has_digest <= 1, "SegmentStore: bad partition digest flag");
+      if (has_digest == 1) stored.digest = manifest.GetU64();
     }
     validate(offset + size <= segments.size(),
              "SegmentStore: segment extends past data file");

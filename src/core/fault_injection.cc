@@ -30,6 +30,10 @@ std::uint64_t HashString(std::string_view s) {
 
 }  // namespace
 
+std::vector<FaultKind> CorruptionKinds() {
+  return {FaultKind::kBitFlip, FaultKind::kTruncate, FaultKind::kTornRead};
+}
+
 std::string_view FaultKindName(FaultKind kind) {
   switch (kind) {
     case FaultKind::kBitFlip:

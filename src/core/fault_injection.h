@@ -52,6 +52,11 @@ enum class FaultKind : std::uint8_t {
 
 std::string_view FaultKindName(FaultKind kind);
 
+// The three corruption kinds: bit flip, truncation, torn read. Defined
+// out of line: GCC 12 flags the inlined initializer-list copy of a
+// default member initializer as maybe-uninitialized in Release builds.
+std::vector<FaultKind> CorruptionKinds();
+
 // What the injector may do and to whom. Defaults target every partition
 // of every replica with all three corruption kinds, once per target.
 struct FaultPlan {
@@ -59,8 +64,7 @@ struct FaultPlan {
   // Probability that a matched (replica, partition) target is faulty at
   // all; the draw is deterministic per target, not per read.
   double probability = 1.0;
-  std::vector<FaultKind> kinds = {FaultKind::kBitFlip, FaultKind::kTruncate,
-                                  FaultKind::kTornRead};
+  std::vector<FaultKind> kinds = CorruptionKinds();
   // Empty matches every replica; otherwise the replica config name
   // (e.g. "KD4xT4/ROW-SNAPPY") must match exactly.
   std::string replica;

@@ -8,11 +8,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "blot/batch.h"
-#include "blot/partitioner.h"
 #include "blot/segment_store.h"
 #include "core/partition_cache.h"
 #include "obs/event_log.h"
@@ -65,23 +63,26 @@ BlotStore::RoutedResult Served(QueryResult result, double ms,
   return routed;
 }
 
-// Total order over records so multiset containment can be checked by a
-// sorted two-pointer sweep.
-bool RecordLess(const Record& a, const Record& b) {
-  return std::tie(a.time, a.x, a.y, a.oid, a.speed, a.heading, a.status,
-                  a.passengers, a.fare_cents) <
-         std::tie(b.time, b.x, b.y, b.oid, b.speed, b.heading, b.status,
-                  b.passengers, b.fare_cents);
-}
-
-// True iff every record of `expected` occurs in `fetched` (multiset
-// semantics: duplicates must be present at least as many times).
-bool MultisetContains(std::vector<Record> fetched,
-                      std::vector<Record> expected) {
-  std::sort(fetched.begin(), fetched.end(), RecordLess);
-  std::sort(expected.begin(), expected.end(), RecordLess);
-  return std::includes(fetched.begin(), fetched.end(), expected.begin(),
-                       expected.end(), RecordLess);
+// fetched ⊖ held as multisets, in RecordKeyLess order (time first, which
+// keeps a restored unit close to its time-sorted build order); nullopt
+// when `held` is not contained in `fetched`. `held` must be sorted by
+// RecordKeyLess.
+std::optional<std::vector<Record>> MultisetDifference(
+    std::vector<Record> fetched, const std::vector<Record>& held) {
+  std::sort(fetched.begin(), fetched.end(), RecordKeyLess);
+  std::vector<Record> rest;
+  rest.reserve(fetched.size() - std::min(fetched.size(), held.size()));
+  auto h = held.begin();
+  for (const Record& r : fetched) {
+    if (h != held.end() && RecordKeyLess(*h, r)) return std::nullopt;
+    if (h != held.end() && !RecordKeyLess(r, *h)) {
+      ++h;  // the neighbour holds this copy
+      continue;
+    }
+    rest.push_back(r);
+  }
+  if (h != held.end()) return std::nullopt;
+  return rest;
 }
 
 }  // namespace
@@ -926,16 +927,16 @@ std::size_t BlotStore::RepairQuarantinedLocked(ThreadPool* pool,
   std::size_t repaired = 0;
   for (const HealthMap::Target& target : targets) {
     if (budget != 0 && attempted >= budget) break;
-    // A full rebuild triggered by an earlier target may have already
-    // healed this one.
+    // A whole-replica rebuild triggered by an earlier target may have
+    // already healed (and counted) this one.
     if (health_->Get(target.replica, target.partition) !=
         PartitionHealth::kQuarantined)
       continue;
     ++attempted;
     try {
-      RecoverPartitionLocked(target.replica, target.partition, std::nullopt,
-                             pool);
-      ++repaired;
+      repaired += RecoverPartitionLocked(target.replica, target.partition,
+                                         std::nullopt, pool)
+                      .partitions;
     } catch (const Error& e) {
       // No healthy source: the partition stays quarantined; queries keep
       // routing around it and a later repair pass retries.
@@ -967,10 +968,10 @@ std::uint64_t BlotStore::RecoverPartition(std::size_t target,
                                           std::optional<std::size_t> source,
                                           ThreadPool* pool) {
   std::unique_lock lock(sync_->state_mutex);
-  return RecoverPartitionLocked(target, partition, source, pool);
+  return RecoverPartitionLocked(target, partition, source, pool).records;
 }
 
-std::uint64_t BlotStore::RecoverPartitionLocked(
+BlotStore::Healed BlotStore::RecoverPartitionLocked(
     std::size_t target, std::size_t partition,
     std::optional<std::size_t> source, ThreadPool* pool) {
   require(target < replicas_.size(),
@@ -981,10 +982,9 @@ std::uint64_t BlotStore::RecoverPartitionLocked(
   Replica& rep = replicas_[target];
   require(partition < rep.NumPartitions(),
           "BlotStore::RecoverPartition: bad partition");
-  auto& registry = obs::MetricsRegistry::global();
   const std::uint64_t start_ns = obs::MonotonicNanos();
-  // Replicas to fetch from: `source` when given, otherwise every other
-  // replica covering `range`.
+  // Replicas to fetch from, in index order: `source` when given,
+  // otherwise every other replica covering `range`.
   const auto sources_covering = [&](const STRange& range) {
     std::vector<std::size_t> sources;
     for (std::size_t r = 0; r < replicas_.size(); ++r)
@@ -995,112 +995,104 @@ std::uint64_t BlotStore::RecoverPartitionLocked(
     return sources;
   };
 
-  // Membership oracle: which records belong in this partition is decided
-  // by the partitioner (equal-count median splits with order-dependent
-  // boundary ties), not by geometry alone — so re-run the deterministic
-  // partitioning over the same logical input the replica was built from
-  // and check it reproduces the replica's layout.
-  const bool partial = !(rep.universe() == universe_);
-  Dataset covered;
-  const Dataset* logical = &dataset_;
-  if (partial) {
-    covered = Dataset(dataset_.FilterByRange(rep.universe()));
-    logical = &covered;
-  }
-  const PartitionedData oracle =
-      PartitionDataset(*logical, rep.config().partitioning, rep.universe());
-  bool canonical = oracle.NumPartitions() == rep.NumPartitions() &&
-                   logical->size() == rep.NumRecords();
-  for (std::size_t p = 0; canonical && p < oracle.NumPartitions(); ++p)
-    canonical = oracle.ranges[p] == rep.index().Range(p) &&
-                oracle.members[p].size() == rep.partition(p).num_records;
-
-  if (!canonical) {
-    // The replica's layout is not re-derivable (e.g. it was previously
-    // rebuilt from another replica's record order): rebuild it whole.
-    if (registry.enabled()) {
-      static obs::Counter& full_rebuilds =
-          registry.GetCounter("repair.full_rebuilds_total");
-      full_rebuilds.Increment();
-    }
-    if (obs::EventLog::Global().enabled()) {
-      obs::EventLog::Global().Warn(
-          "repair.full_rebuild",
-          "partition layout not re-derivable; rebuilding whole replica",
-          {obs::Field("replica", rep.config().Name()),
-           obs::Field("partition", partition)});
-    }
-    const std::vector<std::size_t> sources = sources_covering(rep.universe());
-    require(!sources.empty(),
-            "BlotStore::RecoverPartition: no replica covers the target");
-    for (std::size_t r : sources) {
-      try {
-        return RecoverReplicaFromLocked(target, r, pool);
-      } catch (const Error&) {
-        continue;  // source itself unreadable; try the next one
-      }
-    }
-    throw CorruptData(
-        "BlotStore::RecoverPartition: full rebuild of replica " +
-        rep.config().Name() + " failed from every source");
-  }
-
-  // Expected payload from the logical view; the bytes must still be
-  // fetched (and verified) from a healthy replica — diverse replicas
-  // recover each other (Section II-E).
-  std::vector<Record> expected;
-  expected.reserve(oracle.members[partition].size());
-  for (const std::uint32_t idx : oracle.members[partition])
-    expected.push_back(logical->records()[idx]);
+  // The lost unit holds exactly the records inside its closed range that
+  // no other partition of this replica holds: ranges share faces, and the
+  // partitioner splits ties on a face by position, so the neighbours'
+  // face records are subtracted from what a source returns for the
+  // range. The unit's digest and record count accept the result.
+  const StoredPartition& lost = rep.partition(partition);
   const STRange needed = rep.index().Range(partition);
+  std::string fallback;
+  std::vector<Record> held;
+  if (!lost.digest.has_value()) {
+    fallback = "partition has no digest (manifest before version 3)";
+  } else {
+    const std::vector<std::size_t> self = {partition};
+    ScanOptions others;
+    others.pool = pool;
+    others.exclude_partitions = &self;
+    try {
+      held = rep.Execute(needed, others).records;
+    } catch (const PartitionFaultError& e) {
+      Fault(target, e);
+      fallback = "a neighbouring partition is unreadable";
+    }
+  }
+  if (fallback.empty()) {
+    std::sort(held.begin(), held.end(), RecordKeyLess);
+    for (const std::size_t r : sources_covering(needed)) {
+      std::optional<std::vector<Record>> expected;
+      try {
+        expected =
+            MultisetDifference(replicas_[r].Execute(needed, pool).records, held);
+      } catch (const PartitionFaultError& e) {
+        // The source's own copies are bad: contain the damage and move on.
+        Fault(r, e);
+        continue;
+      }
+      if (!expected || expected->size() != lost.num_records ||
+          MultisetDigest(*expected) != *lost.digest)
+        continue;  // not this unit's records: try the next source
+      const bool was_quarantined =
+          health_->Get(target, partition) == PartitionHealth::kQuarantined;
+      rep.RestorePartition(partition, *expected);
+      sketches_[target] = ReplicaSketch::FromReplica(rep);
+      health_->MarkOk(target, partition);
+      const double repair_ms_elapsed =
+          double(obs::MonotonicNanos() - start_ns) * 1e-6;
+      auto& registry = obs::MetricsRegistry::global();
+      if (registry.enabled()) {
+        static obs::Counter& partitions_total =
+            registry.GetCounter("repair.partitions_total");
+        static obs::Counter& records_total =
+            registry.GetCounter("repair.records_total");
+        static obs::Histogram& repair_ms =
+            registry.GetHistogram("repair.ms");
+        partitions_total.Increment();
+        records_total.Increment(expected->size());
+        repair_ms.Observe(repair_ms_elapsed);
+      }
+      if (obs::EventLog::Global().enabled()) {
+        obs::EventLog::Global().Info(
+            "repair", "partition repaired from healthy replica",
+            {obs::Field("replica", rep.config().Name()),
+             obs::Field("partition", partition),
+             obs::Field("source", replicas_[r].config().Name()),
+             obs::Field("records", expected->size()),
+             obs::Field("ms", repair_ms_elapsed)});
+      }
+      return {expected->size(), was_quarantined ? 1u : 0u};
+    }
+    fallback = "no source's records matched the partition digest";
+  }
 
-  const std::vector<std::size_t> sources = sources_covering(needed);
+  // The one fallback: rebuild the whole replica from a covering source.
+  auto& registry = obs::MetricsRegistry::global();
+  if (registry.enabled()) {
+    static obs::Counter& full_rebuilds =
+        registry.GetCounter("repair.full_rebuilds_total");
+    full_rebuilds.Increment();
+  }
+  if (obs::EventLog::Global().enabled()) {
+    obs::EventLog::Global().Warn(
+        "repair.full_rebuild",
+        "partition not repairable on its own; rebuilding whole replica",
+        {obs::Field("replica", rep.config().Name()),
+         obs::Field("partition", partition),
+         obs::Field("reason", fallback)});
+  }
+  const std::vector<std::size_t> sources = sources_covering(rep.universe());
   require(!sources.empty(),
-          "BlotStore::RecoverPartition: no replica covers partition " +
-              std::to_string(partition));
-
+          "BlotStore::RecoverPartition: no replica covers the target");
   for (const std::size_t r : sources) {
     try {
-      const QueryResult fetched = replicas_[r].Execute(needed, pool);
-      // The source must hold every record of the lost partition (ranges
-      // overlap on closed bounds, so it may return extra neighbors).
-      if (!MultisetContains(fetched.records, expected)) continue;
-    } catch (const PartitionFaultError& e) {
-      // The source's own copies are bad: contain the damage and move on.
-      Fault(r, e);
-      continue;
+      return RecoverReplicaFromLocked(target, r, pool);
+    } catch (const Error&) {
+      continue;  // unreadable, or contradicts the digests: try the next
     }
-    rep.RestorePartition(partition, expected);
-    sketches_[target] = ReplicaSketch::FromReplica(rep);
-    health_->MarkOk(target, partition);
-    const double repair_ms_elapsed =
-        double(obs::MonotonicNanos() - start_ns) * 1e-6;
-    if (registry.enabled()) {
-      static obs::Counter& partitions_total =
-          registry.GetCounter("repair.partitions_total");
-      static obs::Counter& records_total =
-          registry.GetCounter("repair.records_total");
-      static obs::Histogram& repair_ms =
-          registry.GetHistogram("repair.ms");
-      partitions_total.Increment();
-      records_total.Increment(expected.size());
-      repair_ms.Observe(repair_ms_elapsed);
-    }
-    if (obs::EventLog::Global().enabled()) {
-      obs::EventLog::Global().Info(
-          "repair", "partition repaired from healthy replica",
-          {obs::Field("replica", rep.config().Name()),
-           obs::Field("partition", partition),
-           obs::Field("source", replicas_[r].config().Name()),
-           obs::Field("records", expected.size()),
-           obs::Field("ms", repair_ms_elapsed)});
-    }
-    return expected.size();
   }
-  throw CorruptData(
-      "BlotStore::RecoverPartition: no healthy source could supply "
-      "partition " +
-      std::to_string(partition) + " of " + rep.config().Name());
+  throw CorruptData("BlotStore::RecoverPartition: full rebuild of replica " +
+                    rep.config().Name() + " failed from every source");
 }
 
 BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
@@ -1345,12 +1337,12 @@ BlotStore BlotStore::Load(const std::filesystem::path& directory) {
 std::uint64_t BlotStore::RecoverReplicaFrom(std::size_t i, std::size_t source,
                                             ThreadPool* pool) {
   std::unique_lock lock(sync_->state_mutex);
-  return RecoverReplicaFromLocked(i, source, pool);
+  return RecoverReplicaFromLocked(i, source, pool).records;
 }
 
-std::uint64_t BlotStore::RecoverReplicaFromLocked(std::size_t i,
-                                                  std::size_t source,
-                                                  ThreadPool* pool) {
+BlotStore::Healed BlotStore::RecoverReplicaFromLocked(std::size_t i,
+                                                      std::size_t source,
+                                                      ThreadPool* pool) {
   require(i < replicas_.size() && source < replicas_.size(),
           "BlotStore::RecoverReplicaFrom: bad index");
   require(i != source, "BlotStore::RecoverReplicaFrom: source == target");
@@ -1363,6 +1355,19 @@ std::uint64_t BlotStore::RecoverReplicaFromLocked(std::size_t i,
   const ReplicaConfig config = replicas_[i].config();
   const Dataset logical = replicas_[source].Reconstruct();
   const Dataset covered(logical.FilterByRange(target_universe));
+  // Every replica holds the same records, so when the lost replica's
+  // units all carry digests their sum is the digest the source's records
+  // must have: a source that contradicts it is not used.
+  std::optional<std::uint64_t> expected = 0;
+  for (std::size_t p = 0; expected && p < replicas_[i].NumPartitions(); ++p) {
+    const auto& digest = replicas_[i].partition(p).digest;
+    expected = digest ? std::optional(*expected + *digest) : std::nullopt;
+  }
+  if (expected && (covered.size() != replicas_[i].NumRecords() ||
+                   MultisetDigest(covered.records()) != *expected))
+    throw CorruptData("BlotStore::RecoverReplicaFrom: the records of " +
+                      replicas_[source].config().Name() +
+                      " contradict the digests of " + config.Name());
   // The lost replica's storage is discarded; drop its cached decodes
   // eagerly rather than letting them age out of the LRU.
   const std::uint64_t old_cache_id = replicas_[i].cache_id();
@@ -1375,6 +1380,7 @@ std::uint64_t BlotStore::RecoverReplicaFromLocked(std::size_t i,
          "BlotStore::RecoverReplicaFrom: rebuilt replica kept its old "
          "cache identity");
   sketches_[i] = ReplicaSketch::FromReplica(replicas_[i]);
+  const std::size_t quarantined = health_->CountsFor(i).quarantined;
   health_->ResetReplica(i, replicas_[i].NumPartitions());
   if (obs::EventLog::Global().enabled()) {
     obs::EventLog::Global().Info(
@@ -1383,7 +1389,7 @@ std::uint64_t BlotStore::RecoverReplicaFromLocked(std::size_t i,
          obs::Field("source", replicas_[source].config().Name()),
          obs::Field("records", replicas_[i].NumRecords())});
   }
-  return replicas_[i].NumRecords();
+  return {replicas_[i].NumRecords(), quarantined};
 }
 
 }  // namespace blot

@@ -10,8 +10,8 @@
 // per-replica, per-partition health. A read fault during execution
 // quarantines exactly the failing partitions and the query fails over to
 // the next-cheapest covering replica; quarantined partitions are repaired
-// from a healthy replica (partition-granular when possible, full rebuild
-// otherwise) per the configured FailoverPolicy. A query only fails — with
+// from the other replicas (partition-granular, verified by a per-partition
+// digest; full rebuild otherwise) per the configured FailoverPolicy. A query only fails — with
 // a structured QueryFailedError naming the lost partitions — when every
 // replica's copy of a needed partition is gone.
 #ifndef BLOT_CORE_STORE_H_
@@ -308,25 +308,32 @@ class BlotStore {
   // records restored. The rebuilt replica always carries a fresh
   // process-unique cache identity, so decodes cached before recovery can
   // never satisfy queries after it; its health map resets to all-ok.
+  // When every partition of `i` has a digest, the source's records must
+  // match their sum and count; otherwise it throws CorruptData and
+  // leaves replica `i` as it was.
   std::uint64_t RecoverReplicaFrom(std::size_t i, std::size_t source,
                                    ThreadPool* pool = nullptr);
 
   // Partition-granular self-healing: re-encodes partition `partition` of
-  // replica `target` from records fetched (and verified) from a healthy
-  // replica — `source` when given, otherwise every other covering replica
-  // is tried cheapest-storage-first. Falls back to a full
-  // RecoverReplicaFrom rebuild when the replica's partition membership is
-  // not canonically re-derivable. Returns the number of records restored;
-  // the repaired partition returns to ok health. Throws when no healthy
-  // source can supply the partition's records.
+  // replica `target` from another replica's records — `source` when
+  // given, otherwise every other covering replica in index order. The
+  // records are the source's range scan of the partition's range minus
+  // what the target's other partitions hold there (face ties), accepted
+  // only when their count and multiset digest match the partition's.
+  // Falls back to a full RecoverReplicaFrom rebuild when the partition
+  // has no digest (loaded from a manifest before version 3), a
+  // neighbouring partition of the target is unreadable too, or no source
+  // verifies. Cost scales with the partition, not the dataset. Returns
+  // the number of records restored; the repaired partition returns to ok
+  // health. Throws when no healthy source can supply the records.
   std::uint64_t RecoverPartition(std::size_t target, std::size_t partition,
                                  std::optional<std::size_t> source = std::nullopt,
                                  ThreadPool* pool = nullptr);
 
   // Repairs up to `budget` quarantined partitions (0 = all), feeding the
-  // repair.* metrics. Returns the number of partitions repaired (a full
-  // rebuild counts all partitions of the rebuilt replica as repaired).
-  // Partitions whose repair fails stay quarantined.
+  // repair.* metrics. Returns the number of quarantined partitions
+  // returned to ok (a full rebuild counts every quarantined partition of
+  // the rebuilt replica). Partitions whose repair fails stay quarantined.
   std::size_t RepairQuarantined(ThreadPool* pool = nullptr,
                                 std::size_t budget = 0);
 
@@ -425,13 +432,18 @@ class BlotStore {
   void ObserveQueryTelemetry(const STRange& query,
                              const obs::QueryProfile& profile);
 
+  // What one recovery did: records re-encoded, and quarantined
+  // partitions returned to ok.
+  struct Healed {
+    std::uint64_t records = 0;
+    std::size_t partitions = 0;
+  };
   // Implementations that assume state_mutex is held unique.
-  std::uint64_t RecoverReplicaFromLocked(std::size_t i, std::size_t source,
-                                         ThreadPool* pool);
-  std::uint64_t RecoverPartitionLocked(std::size_t target,
-                                       std::size_t partition,
-                                       std::optional<std::size_t> source,
-                                       ThreadPool* pool);
+  Healed RecoverReplicaFromLocked(std::size_t i, std::size_t source,
+                                  ThreadPool* pool);
+  Healed RecoverPartitionLocked(std::size_t target, std::size_t partition,
+                                std::optional<std::size_t> source,
+                                ThreadPool* pool);
   std::size_t RepairQuarantinedLocked(ThreadPool* pool, std::size_t budget);
 
   // Continuous-telemetry state, boxed so BlotStore stays movable.

@@ -53,8 +53,11 @@ std::string Event::ToJson() const {
     out += ",\"fields\":{";
     for (std::size_t i = 0; i < fields.size(); ++i) {
       if (i > 0) out += ",";
-      out += "\"" + JsonEscapeString(fields[i].first) + "\":\"" +
-             JsonEscapeString(fields[i].second) + "\"";
+      out += '"';
+      out += JsonEscapeString(fields[i].first);
+      out += "\":\"";
+      out += JsonEscapeString(fields[i].second);
+      out += '"';
     }
     out += "}";
   }

@@ -50,8 +50,11 @@ std::string JsonLabels(const Labels& labels) {
   std::string out = "{";
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + JsonEscape(labels[i].first) + "\":\"" +
-           JsonEscape(labels[i].second) + "\"";
+    out += '"';
+    out += JsonEscape(labels[i].first);
+    out += "\":\"";
+    out += JsonEscape(labels[i].second);
+    out += '"';
   }
   return out + "}";
 }

@@ -55,9 +55,13 @@ std::string QueryProfile::ToJson() const {
   std::string out = "{\"stages\":{";
   for (std::size_t i = 0; i < kStageCount; ++i) {
     if (i > 0) out += ",";
-    out += "\"" + std::string(kStageNames[i]) +
-           "\":{\"ms\":" + FormatJsonNumber(stage_ms[i]) +
-           ",\"bytes\":" + std::to_string(stage_bytes[i]) + "}";
+    out += '"';
+    out += kStageNames[i];
+    out += "\":{\"ms\":";
+    out += FormatJsonNumber(stage_ms[i]);
+    out += ",\"bytes\":";
+    out += std::to_string(stage_bytes[i]);
+    out += '}';
   }
   out += "},\"partitions_touched\":" + std::to_string(partitions_touched) +
          ",\"partitions_skipped\":" + std::to_string(partitions_skipped) +

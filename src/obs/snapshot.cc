@@ -22,8 +22,11 @@ std::string JsonLabels(const Labels& labels) {
   std::string out = "{";
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + JsonEscapeString(labels[i].first) + "\":\"" +
-           JsonEscapeString(labels[i].second) + "\"";
+    out += '"';
+    out += JsonEscapeString(labels[i].first);
+    out += "\":\"";
+    out += JsonEscapeString(labels[i].second);
+    out += '"';
   }
   return out + "}";
 }

@@ -368,7 +368,8 @@ struct Iteration {
         configs.size());
     for (std::size_t r = 0; r < configs.size(); ++r) {
       const Replica& replica = store.replica(r);
-      const std::string tag = "[" + configs[r].Name() + "]";
+      const std::string tag =
+          std::string("[").append(configs[r].Name()).append("]");
 
       // Fused decode-filter scan (the cache-off default inside Execute).
       Check("replica-execute" + tag, query, expected, [&] {

@@ -183,8 +183,9 @@ TEST(DeadlineTest, AllowPartialTurnsExpiryIntoCoverageReport) {
   EXPECT_TRUE(routed.result.truncated);
   EXPECT_FALSE(routed.result.missed_partitions.empty());
   // Coverage is partition-exact: no records without served partitions.
-  if (routed.result.served_partitions.empty())
+  if (routed.result.served_partitions.empty()) {
     EXPECT_TRUE(routed.result.records.empty());
+  }
 }
 
 TEST(DeadlineTest, DeadlineMidParallelScanKeepsCoverageExact) {

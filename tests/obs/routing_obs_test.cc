@@ -123,7 +123,9 @@ TEST_F(RoutingObsTest, DisabledRegistryRecordsNothing) {
       snap.FindCounter("query.routed_total");
   // Either never registered, or registered by another test but not
   // incremented by this query.
-  if (total != nullptr) EXPECT_EQ(total->value, 0u);
+  if (total != nullptr) {
+    EXPECT_EQ(total->value, 0u);
+  }
 }
 
 TEST_F(RoutingObsTest, BatchExecutionRecordsSharedScanSavings) {
