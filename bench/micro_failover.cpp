@@ -20,6 +20,12 @@
 // takes the whole-replica fallback (docs/robustness.md); the remaining
 // calls then repair healthy units one partition at a time.
 //
+// Every path is timed with one estimator: each query runs kPasses times
+// (re-corrupted before each faulted pass) and the median pass is its
+// time. A path's ms/query is the mean of those medians; an overhead
+// ratio is the median over queries of the per-query ratio to the healthy
+// median, so one slow pass or one whole-replica rebuild cannot swing it.
+//
 // Writes machine-readable results to BENCH_failover.json (or argv[1],
 // schema blot.bench.v1). The overhead ratios (failover_overhead_x,
 // sync_heal_overhead_x) are machine-independent and tracked; raw
@@ -27,12 +33,15 @@
 // must match the healthy record counts.
 #include <chrono>
 #include <cstdio>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/fault_injection.h"
 #include "core/store.h"
+#include "util/stats.h"
 
 using namespace blot;
 
@@ -63,6 +72,25 @@ std::size_t CorruptRouted(BlotStore& store, const CostModel& model,
     ++corrupted;
   }
   return corrupted;
+}
+
+// Median over `passes` of the wall time of `run`; `prepare` runs untimed
+// before each pass and returns false to skip the query (nothing timed).
+template <typename Prepare, typename Run>
+std::optional<double> MedianMs(int passes, Prepare prepare, Run run) {
+  std::vector<double> ms;
+  for (int pass = 0; pass < passes; ++pass) {
+    if (!prepare()) return std::nullopt;
+    const auto start = std::chrono::steady_clock::now();
+    run();
+    ms.push_back(MsSince(start));
+  }
+  return Percentile(std::move(ms), 50.0);
+}
+
+double Mean(const std::vector<double>& values) {
+  return std::accumulate(values.begin(), values.end(), 0.0) /
+         static_cast<double>(values.size());
 }
 
 }  // namespace
@@ -104,60 +132,74 @@ int main(int argc, char** argv) {
   no_repair.repair = RepairMode::kNone;
   store.SetFailoverPolicy(no_repair);
 
+  constexpr int kPasses = 5;
+  const auto always = [] { return true; };
+
   // --- healthy baseline ------------------------------------------------
   std::vector<std::size_t> healthy_counts(queries.size(), 0);
-  double healthy_ms = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const auto routed = store.Execute(queries[i], model, &pool);
-      healthy_counts[i] = routed.result.records.size();
-    }
-    const double ms = MsSince(start);
-    healthy_ms = rep == 0 ? ms : std::min(healthy_ms, ms);
-  }
+  std::vector<double> healthy(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    healthy[i] = *MedianMs(kPasses, always, [&] {
+      healthy_counts[i] =
+          store.Execute(queries[i], model, &pool).result.records.size();
+    });
 
   // --- armed injector that never fires: the hook's own overhead --------
   FaultPlan noop_plan;
   noop_plan.probability = 0.0;
   noop_plan.max_fires_per_target = 0;
   FaultInjector::Global().Arm(noop_plan);
-  double armed_ms = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    for (const STRange& q : queries) store.Execute(q, model, &pool);
-    const double ms = MsSince(start);
-    armed_ms = rep == 0 ? ms : std::min(armed_ms, ms);
-  }
+  std::vector<double> armed(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    armed[i] = *MedianMs(kPasses, always,
+                         [&] { store.Execute(queries[i], model, &pool); });
   FaultInjector::Global().Disarm();
 
   // --- failover: corrupt the routed replica, time only Execute ---------
-  // Repair between queries (untimed) resets the data and the health map
-  // so every query pays the full first-attempt-fails path.
-  double failover_ms = 0.0;
+  // Repair before each pass (untimed) resets the data and the health map
+  // so every pass pays the full first-attempt-fails path. Queries whose
+  // routed replica holds no non-empty unit they read are skipped.
+  std::vector<std::size_t> faulted;  // queries both faulted paths time
+  std::vector<double> failover;
+  std::vector<double> failover_x;
   std::size_t failover_mismatches = 0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (CorruptRouted(store, model, queries[i]) == 0) continue;
-    const auto start = std::chrono::steady_clock::now();
-    const auto routed = store.Execute(queries[i], model, &pool);
-    failover_ms += MsSince(start);
-    if (routed.result.records.size() != healthy_counts[i])
-      ++failover_mismatches;
-    store.RepairQuarantined(&pool);
+    const std::optional<double> ms = MedianMs(
+        kPasses,
+        [&] {
+          store.RepairQuarantined(&pool);
+          return CorruptRouted(store, model, queries[i]) > 0;
+        },
+        [&] {
+          const auto routed = store.Execute(queries[i], model, &pool);
+          if (routed.result.records.size() != healthy_counts[i])
+            ++failover_mismatches;
+        });
+    if (!ms) continue;
+    faulted.push_back(i);
+    failover.push_back(*ms);
+    failover_x.push_back(*ms / healthy[i]);
   }
+  store.RepairQuarantined(&pool);
 
   // --- sync self-healing: Execute repairs inline ------------------------
   FailoverPolicy sync_policy;
   sync_policy.repair = RepairMode::kSync;
   store.SetFailoverPolicy(sync_policy);
-  double heal_ms = 0.0;
+  std::vector<double> heal;
+  std::vector<double> heal_x;
   std::size_t heal_mismatches = 0;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (CorruptRouted(store, model, queries[i]) == 0) continue;
-    const auto start = std::chrono::steady_clock::now();
-    const auto routed = store.Execute(queries[i], model, &pool);
-    heal_ms += MsSince(start);
-    if (routed.result.records.size() != healthy_counts[i]) ++heal_mismatches;
+  for (const std::size_t i : faulted) {
+    const std::optional<double> ms = MedianMs(
+        kPasses, [&] { return CorruptRouted(store, model, queries[i]) > 0; },
+        [&] {
+          const auto routed = store.Execute(queries[i], model, &pool);
+          if (routed.result.records.size() != healthy_counts[i])
+            ++heal_mismatches;
+        });
+    if (!ms) continue;
+    heal.push_back(*ms);
+    heal_x.push_back(*ms / healthy[i]);
   }
   store.SetFailoverPolicy(no_repair);
 
@@ -177,20 +219,30 @@ int main(int argc, char** argv) {
   const double repair_ms = MsSince(repair_start);
   const std::size_t repaired = broken.size();
 
-  const double per_query_healthy = healthy_ms / queries.size();
-  const double per_query_armed = armed_ms / queries.size();
-  const double per_query_failover = failover_ms / queries.size();
-  const double per_query_heal = heal_ms / queries.size();
+  if (failover.empty() || heal.empty()) {
+    std::printf("no query faulted: nothing to compare\n");
+    return 1;
+  }
+  const double per_query_healthy = Mean(healthy);
+  const double per_query_armed = Mean(armed);
+  const double per_query_failover = Mean(failover);
+  const double per_query_heal = Mean(heal);
+  const double failover_overhead = Percentile(failover_x, 50.0);
+  const double heal_overhead = Percentile(heal_x, 50.0);
+  std::vector<double> armed_x;
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    armed_x.push_back(armed[i] / healthy[i]);
+  const double armed_overhead = Percentile(armed_x, 50.0);
   bench::PrintRule('-', 64);
-  std::printf("%-26s %12s %14s\n", "path", "ms/query", "vs healthy");
+  std::printf("%-26s %12s %14s\n", "path", "ms/query", "median ratio");
   bench::PrintRule('-', 64);
   std::printf("%-26s %12.3f %13.2fx\n", "healthy", per_query_healthy, 1.0);
   std::printf("%-26s %12.3f %13.2fx\n", "armed injector (p=0)",
-              per_query_armed, per_query_armed / per_query_healthy);
+              per_query_armed, armed_overhead);
   std::printf("%-26s %12.3f %13.2fx\n", "failover (no repair)",
-              per_query_failover, per_query_failover / per_query_healthy);
+              per_query_failover, failover_overhead);
   std::printf("%-26s %12.3f %13.2fx\n", "failover + sync heal",
-              per_query_heal, per_query_heal / per_query_healthy);
+              per_query_heal, heal_overhead);
   bench::PrintRule('-', 64);
   std::printf(
       "repair: %zu partitions (%llu records) in %.1f ms "
@@ -207,15 +259,15 @@ int main(int argc, char** argv) {
   report.Metric("armed_noop_ms_per_query", per_query_armed);
   report.Metric("failover_ms_per_query", per_query_failover);
   report.Metric("sync_heal_ms_per_query", per_query_heal);
-  report.Metric("failover_overhead_x", per_query_failover / per_query_healthy,
-                /*tracked=*/true);
-  report.Metric("sync_heal_overhead_x", per_query_heal / per_query_healthy,
-                /*tracked=*/true);
+  report.Metric("failover_overhead_x", failover_overhead, /*tracked=*/true);
+  report.Metric("sync_heal_overhead_x", heal_overhead, /*tracked=*/true);
   report.Metric("repair_ms", repair_ms);
   report.Metric("repair_partitions_per_s",
                 repair_ms > 0 ? 1000.0 * repaired / repair_ms : 0.0);
   report.Info("dataset_records", static_cast<std::uint64_t>(num_records));
   report.Info("queries", static_cast<std::uint64_t>(queries.size()));
+  report.Info("faulted_queries", static_cast<std::uint64_t>(failover.size()));
+  report.Info("passes_per_query", static_cast<std::uint64_t>(kPasses));
   report.Info("repair_partitions", static_cast<std::uint64_t>(repaired));
   report.Info("repair_records", records_restored);
   if (!report.Write(json_path)) return 1;

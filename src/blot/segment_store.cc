@@ -27,28 +27,17 @@ constexpr std::uint32_t kManifestVersion = 3;
 const char* kManifestName = "manifest.blot";
 const char* kSegmentsName = "segments.dat";
 
-void WriteFileAtomically(const std::filesystem::path& path,
-                         const Bytes& contents) {
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    require(out.good(), "SegmentStore: cannot open " + tmp.string());
-    out.write(reinterpret_cast<const char*>(contents.data()),
-              static_cast<std::streamsize>(contents.size()));
-    require(out.good(), "SegmentStore: short write to " + tmp.string());
-  }
-  std::filesystem::rename(tmp, path);
-}
-
 Bytes ReadFile(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   // An unreadable file is an I/O fault (survivable via replica
   // failover), not an API-contract violation.
   if (!in.good())
-    throw ReadError("SegmentStore: cannot open " + path.string());
+    throw ReadError("cannot open " + path.string());
   return Bytes((std::istreambuf_iterator<char>(in)),
                std::istreambuf_iterator<char>());
 }
+
+}  // namespace
 
 void PutRange(ByteWriter& w, const STRange& r) {
   w.PutF64(r.x_min());
@@ -67,11 +56,33 @@ STRange GetRange(ByteReader& r) {
   const double t_min = r.GetF64();
   const double t_max = r.GetF64();
   validate(x_min <= x_max && y_min <= y_max && t_min <= t_max,
-           "SegmentStore: malformed range in manifest");
+           "malformed range in manifest");
   return STRange::FromBounds(x_min, x_max, y_min, y_max, t_min, t_max);
 }
 
-}  // namespace
+Bytes ReadManifestBody(const std::filesystem::path& path) {
+  Bytes bytes = ReadFile(path);
+  validate(bytes.size() > 8, "manifest too small: " + path.string());
+  ByteReader trailer(BytesView(bytes.data() + bytes.size() - 8, 8));
+  const std::uint64_t checksum = trailer.GetU64();
+  bytes.resize(bytes.size() - 8);
+  validate(checksum == Fnv1a64(bytes),
+           "manifest checksum mismatch: " + path.string());
+  return bytes;
+}
+
+void WriteFileAtomically(const std::filesystem::path& path,
+                         const Bytes& contents) {
+  const std::filesystem::path tmp = path.string() + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    require(out.good(), "WriteFileAtomically: cannot open " + tmp.string());
+    out.write(reinterpret_cast<const char*>(contents.data()),
+              static_cast<std::streamsize>(contents.size()));
+    require(out.good(), "WriteFileAtomically: short write to " + tmp.string());
+  }
+  std::filesystem::rename(tmp, path);
+}
 
 void SegmentStore::Save(const Replica& replica,
                         const std::filesystem::path& directory) {
@@ -126,13 +137,7 @@ void SegmentStore::Save(const Replica& replica,
 Replica SegmentStore::Load(const std::filesystem::path& directory) {
   require(Exists(directory),
           "SegmentStore::Load: no manifest in " + directory.string());
-  const Bytes manifest_bytes = ReadFile(directory / kManifestName);
-  validate(manifest_bytes.size() > 8, "SegmentStore: manifest too small");
-  const BytesView body(manifest_bytes.data(), manifest_bytes.size() - 8);
-  ByteReader trailer(BytesView(manifest_bytes.data() + body.size(), 8));
-  validate(trailer.GetU64() == Fnv1a64(body),
-           "SegmentStore: manifest checksum mismatch");
-
+  const Bytes body = ReadManifestBody(directory / kManifestName);
   ByteReader manifest(body);
   validate(manifest.GetU64() == kManifestMagic,
            "SegmentStore: bad manifest magic");

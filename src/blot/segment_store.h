@@ -22,8 +22,20 @@
 #include <filesystem>
 
 #include "blot/replica.h"
+#include "util/bytes.h"
 
 namespace blot {
+
+// Writes through `path`.tmp and a rename, checking the stream, so a
+// failed or short write throws and leaves the old file in place.
+void WriteFileAtomically(const std::filesystem::path& path,
+                         const Bytes& contents);
+// A manifest ends in the FNV-1a checksum of its body; returns the body
+// once verified (CorruptData on mismatch, ReadError if unreadable).
+Bytes ReadManifestBody(const std::filesystem::path& path);
+// A range as its six bounds, as manifests store it.
+void PutRange(ByteWriter& w, const STRange& r);
+STRange GetRange(ByteReader& r);  // rejects inverted bounds
 
 class SegmentStore {
  public:

@@ -5,8 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 
@@ -88,10 +86,10 @@ std::optional<std::vector<Record>> MultisetDifference(
 }  // namespace
 
 BlotStore::BlotStore(Dataset dataset, std::optional<STRange> universe)
-    : dataset_(std::move(dataset)) {
-  require(!dataset_.empty(), "BlotStore: empty dataset");
-  universe_ = universe.value_or(dataset_.BoundingBox());
-  for (const Record& r : dataset_.records())
+    : input_(std::move(dataset)) {
+  require(!input_.empty(), "BlotStore: empty dataset");
+  universe_ = universe.value_or(input_.BoundingBox());
+  for (const Record& r : input_.records())
     require(universe_.Contains(r.Position()),
             "BlotStore: record outside universe");
 }
@@ -113,7 +111,7 @@ BlotStore& BlotStore::operator=(BlotStore&& other) noexcept {
   // be replaced).
   if (sync_ != nullptr) WaitForRepairs();
   if (other.sync_ != nullptr) other.WaitForRepairs();
-  dataset_ = std::move(other.dataset_);
+  input_ = std::move(other.input_);
   universe_ = other.universe_;
   replicas_ = std::move(other.replicas_);
   sketches_ = std::move(other.sketches_);
@@ -164,33 +162,55 @@ void BlotStore::WaitForRepairs() {
 
 std::size_t BlotStore::AddReplica(const ReplicaConfig& config,
                                   ThreadPool* pool) {
-  std::unique_lock lock(sync_->state_mutex);
-  for (const Replica& existing : replicas_)
-    require(!(existing.config() == config &&
-              existing.universe() == universe_),
-            "BlotStore::AddReplica: duplicate replica " + config.Name());
-  replicas_.push_back(Replica::Build(dataset_, config, universe_, pool));
-  sketches_.push_back(ReplicaSketch::FromReplica(replicas_.back()));
-  health_->AddReplica(replicas_.back().NumPartitions());
-  latency_->AddReplica();
-  return replicas_.size() - 1;
+  return Add(config, universe_, pool);
 }
 
 std::size_t BlotStore::AddPartialReplica(const ReplicaConfig& config,
                                          const STRange& coverage,
                                          ThreadPool* pool) {
-  std::unique_lock lock(sync_->state_mutex);
   require(universe_.Contains(coverage),
           "BlotStore::AddPartialReplica: coverage outside universe");
   require(!(coverage == universe_),
           "BlotStore::AddPartialReplica: coverage is the whole universe; "
           "use AddReplica");
-  const Dataset covered(dataset_.FilterByRange(coverage));
-  replicas_.push_back(Replica::Build(covered, config, coverage, pool));
+  return Add(config, coverage, pool);
+}
+
+std::size_t BlotStore::Add(const ReplicaConfig& config,
+                           const STRange& coverage, ThreadPool* pool) {
+  std::unique_lock lock(sync_->state_mutex);
+  for (const Replica& existing : replicas_)
+    require(!(existing.config() == config &&
+              existing.universe() == coverage),
+            "BlotStore::AddReplica: duplicate replica " + config.Name());
+  std::optional<Dataset> covered;
+  if (!input_.empty()) {
+    if (!(coverage == universe_))
+      covered.emplace(input_.FilterByRange(coverage));
+  } else {
+    // A loaded store: the first covering replica that decodes cleanly.
+    for (std::size_t r = 0; !covered && r < replicas_.size(); ++r) {
+      if (!replicas_[r].universe().Contains(coverage)) continue;
+      try {
+        covered = RecordsFrom(r, coverage);
+      } catch (const Error&) {}  // unreadable: try the next one
+    }
+    if (!covered)
+      throw CorruptData("BlotStore::AddReplica: no readable replica holds "
+                        "the records of " + config.Name());
+  }
+  replicas_.push_back(Replica::Build(covered ? *covered : input_, config,
+                                     coverage, pool));
   sketches_.push_back(ReplicaSketch::FromReplica(replicas_.back()));
   health_->AddReplica(replicas_.back().NumPartitions());
-  latency_->AddReplica();
+  // Keep the latency map index-aligned: a loaded store's is empty (Load).
+  if (latency_->NumReplicas() + 1 == replicas_.size()) latency_->AddReplica();
   return replicas_.size() - 1;
+}
+
+Dataset BlotStore::RecordsFrom(std::size_t source,
+                               const STRange& range) const {
+  return Dataset(replicas_[source].Reconstruct().FilterByRange(range));
 }
 
 bool BlotStore::IsFullReplica(std::size_t i) const {
@@ -1220,9 +1240,13 @@ BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
 
 namespace {
 
-constexpr std::uint64_t kStoreMagic = 0x325252544F4C42ull;  // "BLOTRR2"
+// Store manifest versions. v2 (before the replicas were the whole store)
+// also carried the checksum of a dataset.bin copy of every record; Load
+// skips that checksum and never opens the file, and Save deletes it.
+constexpr std::uint64_t kStoreMagicV2 = 0x325252544F4C42ull;  // "BLOTRR2"
+constexpr std::uint64_t kStoreMagic = 0x335252544F4C42ull;    // "BLOTRR3"
 const char* kStoreManifest = "store.blot";
-const char* kStoreDataset = "dataset.bin";
+const char* kStoreDatasetV2 = "dataset.bin";
 
 std::string ReplicaDirName(std::size_t i) {
   char name[32];
@@ -1233,91 +1257,38 @@ std::string ReplicaDirName(std::size_t i) {
 }  // namespace
 
 void BlotStore::Save(const std::filesystem::path& directory) const {
-  std::filesystem::create_directories(directory);
-  std::ostringstream dataset_buf;
-  dataset_.WriteBinary(dataset_buf);
-  const std::string dataset_bytes = dataset_buf.str();
-  const std::uint64_t dataset_checksum = Fnv1a64(BytesView(
-      reinterpret_cast<const std::uint8_t*>(dataset_bytes.data()),
-      dataset_bytes.size()));
-  {
-    std::ofstream out(directory / kStoreDataset,
-                      std::ios::binary | std::ios::trunc);
-    require(out.good(), "BlotStore::Save: cannot write dataset");
-    out.write(dataset_bytes.data(),
-              static_cast<std::streamsize>(dataset_bytes.size()));
-    require(out.good(), "BlotStore::Save: short write to dataset");
-  }
+  namespace fs = std::filesystem;
+  fs::create_directories(directory);
   for (std::size_t i = 0; i < replicas_.size(); ++i)
     SegmentStore::Save(replicas_[i], directory / ReplicaDirName(i));
 
   ByteWriter manifest;
   manifest.PutU64(kStoreMagic);
-  manifest.PutF64(universe_.x_min());
-  manifest.PutF64(universe_.x_max());
-  manifest.PutF64(universe_.y_min());
-  manifest.PutF64(universe_.y_max());
-  manifest.PutF64(universe_.t_min());
-  manifest.PutF64(universe_.t_max());
+  PutRange(manifest, universe_);
   manifest.PutVarint(replicas_.size());
-  manifest.PutU64(dataset_checksum);
-  // Whole-manifest checksum excluding this trailing field, mirroring the
-  // SegmentStore manifest format.
-  manifest.PutU64(Fnv1a64(manifest.buffer()));
-  const std::filesystem::path tmp =
-      directory / (std::string(kStoreManifest) + ".tmp");
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    require(out.good(), "BlotStore::Save: cannot write manifest");
-    out.write(reinterpret_cast<const char*>(manifest.buffer().data()),
-              static_cast<std::streamsize>(manifest.size()));
-  }
-  std::filesystem::rename(tmp, directory / kStoreManifest);
+  manifest.PutU64(Fnv1a64(manifest.buffer()));  // see ReadManifestBody
+  WriteFileAtomically(directory / kStoreManifest, manifest.buffer());
+
+  // Once the new manifest is in place, drop what an earlier, larger or
+  // version-2 store left behind.
+  fs::remove(directory / kStoreDatasetV2);
+  for (std::size_t i = replicas_.size();
+       fs::exists(directory / ReplicaDirName(i)); ++i)
+    fs::remove_all(directory / ReplicaDirName(i));
 }
 
 BlotStore BlotStore::Load(const std::filesystem::path& directory) {
   require(std::filesystem::exists(directory / kStoreManifest),
           "BlotStore::Load: no store manifest in " + directory.string());
-  std::ifstream manifest_in(directory / kStoreManifest, std::ios::binary);
-  if (!manifest_in.good())
-    throw ReadError("BlotStore::Load: cannot open store manifest in " +
-                    directory.string());
-  const Bytes manifest_bytes((std::istreambuf_iterator<char>(manifest_in)),
-                             std::istreambuf_iterator<char>());
-  validate(manifest_bytes.size() > 8,
-           "BlotStore::Load: store manifest too small");
-  const BytesView body(manifest_bytes.data(), manifest_bytes.size() - 8);
-  ByteReader trailer(BytesView(manifest_bytes.data() + body.size(), 8));
-  validate(trailer.GetU64() == Fnv1a64(body),
-           "BlotStore::Load: store manifest checksum mismatch");
-
+  const Bytes body = ReadManifestBody(directory / kStoreManifest);
   ByteReader manifest(body);
-  validate(manifest.GetU64() == kStoreMagic,
+  const std::uint64_t magic = manifest.GetU64();
+  validate(magic == kStoreMagic || magic == kStoreMagicV2,
            "BlotStore::Load: bad store magic");
-  const double x_min = manifest.GetF64();
-  const double x_max = manifest.GetF64();
-  const double y_min = manifest.GetF64();
-  const double y_max = manifest.GetF64();
-  const double t_min = manifest.GetF64();
-  const double t_max = manifest.GetF64();
-  validate(x_min <= x_max && y_min <= y_max && t_min <= t_max,
-           "BlotStore::Load: malformed universe");
+  BlotStore store(GetRange(manifest));
   const std::uint64_t num_replicas = manifest.GetVarint();
-  const std::uint64_t dataset_checksum = manifest.GetU64();
+  if (magic == kStoreMagicV2) manifest.GetU64();  // dataset.bin checksum
   validate(manifest.AtEnd(), "BlotStore::Load: trailing manifest bytes");
-
-  std::ifstream dataset_in(directory / kStoreDataset, std::ios::binary);
-  require(dataset_in.good(), "BlotStore::Load: missing dataset file");
-  const Bytes dataset_bytes((std::istreambuf_iterator<char>(dataset_in)),
-                            std::istreambuf_iterator<char>());
-  validate(Fnv1a64(dataset_bytes) == dataset_checksum,
-           "BlotStore::Load: dataset checksum mismatch");
-  std::istringstream dataset_stream(std::string(
-      reinterpret_cast<const char*>(dataset_bytes.data()),
-      dataset_bytes.size()));
-  BlotStore store(Dataset::ReadBinary(dataset_stream),
-                  STRange::FromBounds(x_min, x_max, y_min, y_max, t_min,
-                                      t_max));
   for (std::uint64_t i = 0; i < num_replicas; ++i) {
     Replica replica = SegmentStore::Load(directory / ReplicaDirName(i));
     validate(store.universe_.Contains(replica.universe()),
@@ -1353,8 +1324,7 @@ BlotStore::Healed BlotStore::RecoverReplicaFromLocked(std::size_t i,
   require(replicas_[source].universe().Contains(target_universe),
           "BlotStore::RecoverReplicaFrom: source does not cover target");
   const ReplicaConfig config = replicas_[i].config();
-  const Dataset logical = replicas_[source].Reconstruct();
-  const Dataset covered(logical.FilterByRange(target_universe));
+  const Dataset covered = RecordsFrom(source, target_universe);
   // Every replica holds the same records, so when the lost replica's
   // units all carry digests their sum is the digest the source's records
   // must have: a source that contradicts it is not used.

@@ -108,7 +108,8 @@ struct FailoverPolicy {
 
 class BlotStore {
  public:
-  // `universe` defaults to the dataset's bounding box.
+  // `universe` defaults to the dataset's bounding box. The dataset is
+  // only the replicas' build input, held in memory and never persisted.
   explicit BlotStore(Dataset dataset,
                      std::optional<STRange> universe = std::nullopt);
 
@@ -125,10 +126,10 @@ class BlotStore {
   BlotStore(BlotStore&& other) noexcept;
   BlotStore& operator=(BlotStore&& other) noexcept;
 
-  const Dataset& dataset() const { return dataset_; }
   const STRange& universe() const { return universe_; }
 
   // Builds and adds a replica; returns its index. Rejects duplicates.
+  // A loaded store reads the records from a replica covering them.
   std::size_t AddReplica(const ReplicaConfig& config,
                          ThreadPool* pool = nullptr);
 
@@ -340,17 +341,19 @@ class BlotStore {
   // Blocks until background repairs scheduled by Execute complete.
   void WaitForRepairs();
 
-  // Persists the whole store: the logical dataset plus every replica
-  // (each in its own SegmentStore subdirectory) under `directory`. The
-  // manifest and dataset carry FNV-1a checksums.
+  // Persists the store — a checksummed manifest plus every replica in its
+  // own SegmentStore subdirectory, and no other copy of the records —
+  // under `directory`, removing whatever an earlier Save left there that
+  // this store does not have.
   void Save(const std::filesystem::path& directory) const;
 
-  // Loads a store persisted by Save. Throws CorruptData on malformed or
-  // checksum-failing contents and InvalidArgument when `directory` holds
-  // no store.
+  // Loads a store persisted by Save (store manifest v3 or v2). Throws
+  // CorruptData on malformed or checksum-failing contents and
+  // InvalidArgument when `directory` holds no store.
   static BlotStore Load(const std::filesystem::path& directory);
 
  private:
+  explicit BlotStore(const STRange& universe) : universe_(universe) {}
   // Background repairs and replica mutation synchronize on `state_mutex`:
   // queries hold it shared, repair holds it unique. Boxed so BlotStore
   // stays movable.
@@ -438,6 +441,12 @@ class BlotStore {
     std::uint64_t records = 0;
     std::size_t partitions = 0;
   };
+  // AddReplica and AddPartialReplica: builds a replica over the records
+  // inside `coverage` and registers it for routing, health and latency.
+  std::size_t Add(const ReplicaConfig& config, const STRange& coverage,
+                  ThreadPool* pool);
+  // Replica `source`'s records inside `range`, decoded from its storage.
+  Dataset RecordsFrom(std::size_t source, const STRange& range) const;
   // Implementations that assume state_mutex is held unique.
   Healed RecoverReplicaFromLocked(std::size_t i, std::size_t source,
                                   ThreadPool* pool);
@@ -461,7 +470,7 @@ class BlotStore {
     static constexpr std::size_t kWorkloadCheckInterval = 32;
   };
 
-  Dataset dataset_;
+  Dataset input_;  // build input; empty on a loaded store
   STRange universe_;
   std::vector<Replica> replicas_;
   std::vector<ReplicaSketch> sketches_;

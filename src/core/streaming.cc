@@ -10,8 +10,10 @@ StreamingStore::StreamingStore(BlotStore store,
     : store_(std::move(store)),
       compact_threshold_(compact_threshold),
       pool_(pool) {
-  require(store_.NumReplicas() > 0,
-          "StreamingStore: store needs at least one replica");
+  while (full_ < store_.NumReplicas() && !store_.IsFullReplica(full_))
+    ++full_;
+  require(full_ < store_.NumReplicas(),
+          "StreamingStore: store needs a full replica");
 }
 
 bool StreamingStore::Ingest(const Record& record) {
@@ -52,7 +54,7 @@ BlotStore::RoutedBatchResult StreamingStore::ExecuteBatch(
 
 void StreamingStore::Compact() {
   if (delta_.empty()) return;
-  Dataset merged = store_.dataset();
+  Dataset merged = store_.replica(full_).Reconstruct();
   merged.Append(delta_);
 
   BlotStore rebuilt(std::move(merged), store_.universe());

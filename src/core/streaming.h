@@ -8,9 +8,9 @@
 //   * Ingest() appends records to the delta (cheap, no re-partitioning);
 //   * queries merge replica results with a delta scan (the delta is kept
 //     small, so the extra scan is bounded);
-//   * Compact() folds the delta into the logical dataset and rebuilds
-//     every replica — the (amortized) heavy step, triggered by a size
-//     threshold or explicitly.
+//   * Compact() merges a full replica's records with the delta and
+//     rebuilds every replica — the (amortized) heavy step, triggered by
+//     a size threshold or explicitly.
 //
 // This module wraps BlotStore with exactly that lifecycle.
 #ifndef BLOT_CORE_STREAMING_H_
@@ -25,7 +25,8 @@ namespace blot {
 class StreamingStore {
  public:
   // `compact_threshold`: delta size (records) at which Ingest triggers an
-  // automatic compaction. 0 disables auto-compaction.
+  // automatic compaction. 0 disables auto-compaction. The store needs a
+  // full replica (built or loaded): it holds the compacted records.
   explicit StreamingStore(BlotStore store,
                           std::size_t compact_threshold = 100000,
                           ThreadPool* pool = nullptr);
@@ -33,7 +34,7 @@ class StreamingStore {
   const BlotStore& store() const { return store_; }
   std::size_t DeltaSize() const { return delta_.size(); }
   std::uint64_t TotalRecords() const {
-    return store_.dataset().size() + delta_.size();
+    return store_.replica(full_).NumRecords() + delta_.size();
   }
   std::size_t compactions() const { return compactions_; }
 
@@ -52,12 +53,13 @@ class StreamingStore {
   BlotStore::RoutedBatchResult ExecuteBatch(std::span<const STRange> queries,
                                             const CostModel& model);
 
-  // Folds the delta into the dataset and rebuilds every replica with its
-  // existing configuration (full and partial alike).
+  // Merges the delta with a full replica's records and rebuilds every
+  // replica with its existing configuration (full and partial alike).
   void Compact();
 
  private:
   BlotStore store_;
+  std::size_t full_ = 0;  // a full replica of store_
   Dataset delta_;
   std::size_t compact_threshold_;
   std::size_t compactions_ = 0;

@@ -51,11 +51,11 @@ grep -q "^corrupt data:.*checksum mismatch" err.txt \
     || fail "query corrupt diagnostic"
 
 # Persisted-store corruption is caught by Load's checksums. XOR-free
-# overwrite with 0xFF bytes: real record payload is never 16 bytes of
-# 0xFF, so the dataset definitely changed.
+# overwrite with 0xFF bytes: the store manifest's universe (bytes 8..55)
+# is never 16 bytes of 0xFF, so the manifest definitely changed.
 cp -r duostore corruptstore
-printf '\377%.0s' $(seq 16) | dd of=corruptstore/dataset.bin bs=1 \
-    count=16 seek=64 conv=notrunc 2>/dev/null || fail "dd"
+printf '\377%.0s' $(seq 16) | dd of=corruptstore/store.blot bs=1 \
+    count=16 seek=8 conv=notrunc 2>/dev/null || fail "dd"
 expect_exit 3 "corrupt store" -- "$BLOTCTL" store-query --dir corruptstore \
     --range "$RANGE"
 grep -q "^corrupt data:" err.txt || fail "corrupt store diagnostic"

@@ -61,6 +61,8 @@ head -1 inferred.csv | grep -q "oid,time" || fail "inferred csv header"
 
 "$BLOTCTL" store-build --data fleet.bin --out mystore \
     --schemes "KD4xT4/ROW-SNAPPY;KD16xT8/COL-GZIP" || fail "store-build"
+# The store is its replicas: no separate copy of the dataset on disk.
+[ ! -e mystore/dataset.bin ] || fail "store-build left a dataset.bin"
 "$BLOTCTL" store-query --dir mystore \
     --range 120.9,121.1,30.9,31.1,1193875200,1194000000 \
     | grep -q "routed to replica" || fail "store-query routing"

@@ -8,7 +8,7 @@
 //   aggregate   range statistics against a persisted replica
 //   trajectory  one object's trajectory over a time window
 //   recover     rebuild a damaged replica from a healthy one
-//   store-build persist a multi-replica store (dataset + replicas)
+//   store-build persist a multi-replica store (manifest + replicas)
 //   store-query routed query against a persisted store
 //   advise      recommend a diverse replica set for a workload/budget
 //   stats       probe a persisted store and emit a metrics snapshot
@@ -402,7 +402,7 @@ int CmdRecover(const Flags& flags) {
 }
 
 // Builds a multi-replica store from a ;-separated scheme list and
-// persists it (dataset + all replicas).
+// persists it (store manifest + all replicas; the replicas hold the data).
 int CmdStoreBuild(const Flags& flags) {
   EnableMetricsIfRequested(flags);
   const Dataset dataset = LoadDataset(flags.GetString("data"));
