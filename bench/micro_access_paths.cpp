@@ -1,7 +1,7 @@
 // Microbenchmarks for the auxiliary access paths: partition-index lookup
 // (temporal bucketing), trajectory retrieval (object-digest pruning),
-// shared-scan batch execution, segment-store persistence, and the fused
-// decode-filter kernels against naive decode-then-filter.
+// segment-store persistence, and the fused decode-filter kernels against
+// naive decode-then-filter.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -10,7 +10,6 @@
 
 #include "bench_common.h"
 #include "gbench_capture.h"
-#include "blot/batch.h"
 #include "blot/segment_store.h"
 #include "blot/trajectory.h"
 #include "codec/columnar.h"
@@ -88,29 +87,6 @@ void BM_TrajectoryQuery(benchmark::State& state) {
       static_cast<double>(scanned) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_TrajectoryQuery);
-
-void BM_BatchVsSequentialGrid(benchmark::State& state) {
-  const STRange universe = bench::PaperUniverse();
-  const int cells = static_cast<int>(state.range(0));
-  std::vector<STRange> queries;
-  for (int gx = 0; gx < cells; ++gx)
-    for (int gy = 0; gy < cells; ++gy)
-      queries.push_back(STRange::FromBounds(
-          universe.x_min() + universe.Width() * gx / cells,
-          universe.x_min() + universe.Width() * (gx + 1) / cells,
-          universe.y_min() + universe.Height() * gy / cells,
-          universe.y_min() + universe.Height() * (gy + 1) / cells,
-          universe.t_min(), universe.t_max()));
-  double sharing = 0;
-  for (auto _ : state) {
-    const BatchResult batch = ExecuteBatch(SharedReplica(), queries);
-    sharing = static_cast<double>(batch.naive_partition_scans) /
-              static_cast<double>(batch.stats.partitions_scanned);
-    benchmark::DoNotOptimize(batch);
-  }
-  state.counters["sharing_factor"] = sharing;
-}
-BENCHMARK(BM_BatchVsSequentialGrid)->Arg(4)->Arg(8);
 
 void BM_SegmentStoreSave(benchmark::State& state) {
   const auto dir =

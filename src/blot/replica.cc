@@ -39,6 +39,55 @@ std::optional<STRange> ComputePartitionZone(
                              static_cast<double>(t_max));
 }
 
+// Per-partition read faults of one multi-partition scan. Each slot's
+// scan runs through Run(), which records a CorruptData or ReadError
+// instead of aborting the scan, so one bad storage unit does not hide the
+// health of the rest. ThrowIfAny then names every failing partition at
+// once. Each slot is written by one thread only, so a parallel scan
+// needs no lock.
+class PartitionFaults {
+ public:
+  explicit PartitionFaults(std::size_t slots) : faults_(slots) {}
+
+  template <typename Scan>
+  void Run(std::size_t slot, std::size_t partition, Scan&& scan) {
+    try {
+      scan();
+    } catch (const CorruptData& e) {
+      faults_[slot] = {partition, e.what()};
+    } catch (const ReadError& e) {
+      faults_[slot] = {partition, e.what()};
+    }
+  }
+
+  // Throws one PartitionFaultError naming, in slot order, every faulted
+  // partition of the scanned replica; returns normally when no slot
+  // faulted.
+  void ThrowIfAny(const ReplicaConfig& replica) const {
+    std::vector<std::size_t> faulty;
+    std::string details;
+    for (const Fault& fault : faults_) {
+      if (fault.message.empty()) continue;
+      faulty.push_back(fault.partition);
+      details += " [p" + std::to_string(fault.partition) + ": " +
+                 fault.message + "]";
+    }
+    if (faulty.empty()) return;
+    const std::string name = replica.Name();
+    throw PartitionFaultError("Replica " + name + ": read faults on " +
+                                  std::to_string(faulty.size()) +
+                                  " partition(s):" + details,
+                              name, std::move(faulty));
+  }
+
+ private:
+  struct Fault {
+    std::size_t partition = 0;
+    std::string message;  // empty = the slot scanned cleanly
+  };
+  std::vector<Fault> faults_;
+};
+
 // Encodes one partition's records under the replica's encoding config —
 // the shared physical-encode step of Build and RestorePartition.
 StoredPartition EncodeStoredPartition(const std::vector<Record>& records,
@@ -194,11 +243,11 @@ std::shared_ptr<const std::vector<Record>> Replica::CachedPartitionRecords(
   PartitionCache& cache = PartitionCache::Global();
   if (cache.enabled()) {
     if (auto records = cache.Lookup(cache_id_, partition)) {
-      if (cache_hit != nullptr) *cache_hit = true;
+      *cache_hit = true;
       return records;
     }
   }
-  if (cache_hit != nullptr) *cache_hit = false;
+  *cache_hit = false;
   std::vector<Record> decoded = DecodePartitionRecords(partition);
   if (!cache.enabled())
     return std::make_shared<const std::vector<Record>>(std::move(decoded));
@@ -236,23 +285,6 @@ StoredPartition& Replica::MutablePartition(std::size_t i) {
   verified_[i].store(0, std::memory_order_release);
   PartitionCache::Global().Invalidate(cache_id_, i);
   return partitions_[i];
-}
-
-void PartitionFaults::ThrowIfAny(const ReplicaConfig& replica) const {
-  std::vector<std::size_t> faulty;
-  std::string details;
-  for (const Fault& fault : faults_) {
-    if (fault.message.empty()) continue;
-    faulty.push_back(fault.partition);
-    details += " [p" + std::to_string(fault.partition) + ": " +
-               fault.message + "]";
-  }
-  if (faulty.empty()) return;
-  const std::string name = replica.Name();
-  throw PartitionFaultError("Replica " + name + ": read faults on " +
-                                std::to_string(faulty.size()) +
-                                " partition(s):" + details,
-                            name, std::move(faulty));
 }
 
 QueryResult Replica::Execute(const STRange& query, ThreadPool* pool,

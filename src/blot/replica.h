@@ -73,40 +73,6 @@ struct ReplicaConfig {
   friend bool operator==(const ReplicaConfig&, const ReplicaConfig&) = default;
 };
 
-// Per-partition read faults of one multi-partition scan, shared by
-// Replica::Execute and blot::ExecuteBatch. Each slot's scan runs through
-// Run(), which records a CorruptData or ReadError instead of aborting the
-// scan, so one bad storage unit does not hide the health of the rest.
-// ThrowIfAny then names every failing partition at once. Each slot is
-// written by one thread only, so a parallel scan needs no lock.
-class PartitionFaults {
- public:
-  explicit PartitionFaults(std::size_t slots) : faults_(slots) {}
-
-  template <typename Scan>
-  void Run(std::size_t slot, std::size_t partition, Scan&& scan) {
-    try {
-      scan();
-    } catch (const CorruptData& e) {
-      faults_[slot] = {partition, e.what()};
-    } catch (const ReadError& e) {
-      faults_[slot] = {partition, e.what()};
-    }
-  }
-
-  // Throws one PartitionFaultError naming, in slot order, every faulted
-  // partition of the scanned replica; returns normally when no slot
-  // faulted.
-  void ThrowIfAny(const ReplicaConfig& replica) const;
-
- private:
-  struct Fault {
-    std::size_t partition = 0;
-    std::string message;  // empty = the slot scanned cleanly
-  };
-  std::vector<Fault> faults_;
-};
-
 // One storage unit: an encoded partition plus integrity metadata. `codec`
 // is the replica's codec under the uniform policy, or this partition's
 // chosen codec under kBestCodecPerPartition. `format` is the wire format
@@ -252,13 +218,6 @@ class Replica {
   // encoded bytes and runs the ordinary checksum check against it.
   std::vector<Record> DecodePartitionRecords(std::size_t partition) const;
 
-  // DecodePartitionRecords through the global PartitionCache: returns the
-  // pinned cached entry on a hit, otherwise decodes, caches and returns.
-  // When the cache is disabled this is exactly DecodePartitionRecords
-  // (wrapped). `cache_hit` (optional) reports which path was taken.
-  std::shared_ptr<const std::vector<Record>> CachedPartitionRecords(
-      std::size_t partition, bool* cache_hit = nullptr) const;
-
   // Fused decode-filter scan of one partition: the records of `partition`
   // inside `query`, without materializing the rest (layout.h). Verifies
   // the checksum like DecodePartitionRecords. `prune_blocks` controls the
@@ -318,6 +277,11 @@ class Replica {
   // over the encoded bytes runs on the first read of each partition and
   // is skipped afterwards. MutablePartition clears the bit.
   void VerifyPartition(std::size_t partition) const;
+  // DecodePartitionRecords through the global PartitionCache: returns the
+  // pinned cached entry on a hit, otherwise decodes, caches and returns.
+  // `cache_hit` reports which path was taken.
+  std::shared_ptr<const std::vector<Record>> CachedPartitionRecords(
+      std::size_t partition, bool* cache_hit) const;
   // Consults the global FaultInjector for this read (no-op when it is
   // disarmed): may throw ReadError, sleep (latency spike), or verify a
   // deterministically corrupted copy of the encoded bytes, surfacing the

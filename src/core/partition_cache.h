@@ -34,7 +34,7 @@
 //
 // This header lives in src/core next to the routing/store layer that
 // configures it, but the code is compiled into blot_storage because the
-// scan hot path (Replica::Execute, blot::ExecuteBatch) consumes it.
+// scan hot path (Replica::Execute) consumes it.
 #ifndef BLOT_CORE_PARTITION_CACHE_H_
 #define BLOT_CORE_PARTITION_CACHE_H_
 
@@ -79,9 +79,9 @@ class PartitionCache {
   PartitionCache(const PartitionCache&) = delete;
   PartitionCache& operator=(const PartitionCache&) = delete;
 
-  // The process-wide cache consulted by Replica::Execute and
-  // blot::ExecuteBatch. Disabled (budget 0) at startup; blotctl's
-  // --cache-mb and the examples configure it.
+  // The process-wide cache consulted by Replica::Execute. Disabled
+  // (budget 0) at startup; blotctl's --cache-mb and the examples
+  // configure it.
   static PartitionCache& Global();
 
   // Allocates a fresh, never-reused replica identity. Called by

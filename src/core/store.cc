@@ -8,7 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "blot/batch.h"
 #include "blot/segment_store.h"
 #include "core/partition_cache.h"
 #include "obs/event_log.h"
@@ -33,6 +32,10 @@ std::string PartitionList(const std::vector<std::size_t>& partitions) {
   if (partitions.size() > kMaxListed)
     out += ",+" + std::to_string(partitions.size() - kMaxListed) + " more";
   return out;
+}
+
+bool Ready(const std::future<void>& f) {
+  return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
 }
 
 // The scan options every attempt of `ctx`'s query starts from.
@@ -572,15 +575,9 @@ std::size_t BlotStore::Race(const STRange& query, const Ranking& ranking,
   // cache and quarantine effects stay valid).
   if (winner >= 0) race->tokens[1 - winner].Cancel(CancelReason::kHedgeLost);
   // A still-running loser is parked with the background repairs
-  // (std::async futures block on destruction) and drained by
-  // WaitForRepairs and the destructor.
-  for (std::future<void>& f : futures) {
-    if (!f.valid() ||
-        f.wait_for(std::chrono::seconds(0)) == std::future_status::ready)
-      continue;
-    std::lock_guard<std::mutex> futures_lock(sync_->futures_mutex);
-    sync_->repair_futures.push_back(std::move(f));
-  }
+  // (std::async futures block on destruction).
+  for (std::future<void>& f : futures)
+    if (f.valid() && !Ready(f)) Park(std::move(f));
   lock.lock();
 
   // Without a winner, the attempt a deadline cut furthest is the answer
@@ -893,25 +890,6 @@ void BlotStore::ObserveQueryTelemetry(const STRange& query,
   t.workload_alerting = drifted;
 }
 
-double BlotStore::WorkloadDriftDistance() const {
-  Telemetry& t = *telemetry_;
-  std::lock_guard lock(t.workload_mutex);
-  if (!t.workload_drift.has_value() || t.workload.observations() == 0)
-    return 0.0;
-  return t.workload_drift->DistanceTo(t.workload.Snapshot());
-}
-
-void BlotStore::RebaseWorkloadReference() {
-  Telemetry& t = *telemetry_;
-  std::lock_guard lock(t.workload_mutex);
-  t.workload_alerting = false;
-  if (t.workload.observations() == 0) {
-    t.workload_drift.reset();
-    return;
-  }
-  t.workload_drift.emplace(t.workload.Snapshot());
-}
-
 void BlotStore::MaybeScheduleRepairs(ThreadPool* pool,
                                      const FailoverPolicy& policy) {
   if (policy.repair == RepairMode::kNone) return;
@@ -920,9 +898,8 @@ void BlotStore::MaybeScheduleRepairs(ThreadPool* pool,
     RepairQuarantined(pool, policy.repair_budget);
     return;
   }
-  std::lock_guard lock(sync_->futures_mutex);
   const std::size_t budget = policy.repair_budget;
-  sync_->repair_futures.push_back(pool->Submit([this, budget] {
+  Park(pool->Submit([this, budget] {
     // try_to_lock: a repair task blocking on a query that is itself
     // waiting for pool workers would deadlock the pool; if the store is
     // busy the partitions stay quarantined and the next query
@@ -931,6 +908,15 @@ void BlotStore::MaybeScheduleRepairs(ThreadPool* pool,
     if (!lock.owns_lock()) return;
     RepairQuarantinedLocked(nullptr, budget);
   }));
+}
+
+void BlotStore::Park(std::future<void> task) {
+  std::lock_guard lock(sync_->futures_mutex);
+  // Finished tasks go first: a finished std::async future keeps its
+  // thread's stack mapped until it is destroyed, and a long-running
+  // store (the server) never calls WaitForRepairs.
+  std::erase_if(sync_->repair_futures, Ready);
+  sync_->repair_futures.push_back(std::move(task));
 }
 
 std::size_t BlotStore::RepairQuarantined(ThreadPool* pool,
@@ -1113,129 +1099,6 @@ BlotStore::Healed BlotStore::RecoverPartitionLocked(
   }
   throw CorruptData("BlotStore::RecoverPartition: full rebuild of replica " +
                     rep.config().Name() + " failed from every source");
-}
-
-BlotStore::RoutedBatchResult BlotStore::ExecuteBatch(
-    std::span<const STRange> queries, const CostModel& model,
-    ThreadPool* pool) {
-  const std::uint64_t start_ns = obs::MonotonicNanos();
-  auto& registry = obs::MetricsRegistry::global();
-  const bool profiling = registry.enabled();
-  RoutedBatchResult result;
-  result.per_query.resize(queries.size());
-  result.replica_of.resize(queries.size());
-
-  // Queries whose group's shared scan failed; retried one-by-one through
-  // Execute after the shared lock is released.
-  std::vector<std::size_t> fallback;
-  const auto add_stats = [&result](const QueryStats& stats) {
-    result.stats.partitions_scanned += stats.partitions_scanned;
-    result.stats.records_scanned += stats.records_scanned;
-    result.stats.bytes_read += stats.bytes_read;
-    result.stats.cache_hits += stats.cache_hits;
-    result.stats.cache_misses += stats.cache_misses;
-  };
-  std::uint64_t route_done_ns = start_ns;
-  std::uint64_t scans_done_ns = start_ns;
-  {
-    std::shared_lock lock(sync_->state_mutex);
-    // Group queries by routed replica, preserving original indices. The
-    // replica count is small, so a flat vector indexed by replica id
-    // replaces the ordered map (allocator churn on large batches).
-    std::vector<std::vector<std::size_t>> groups(replicas_.size());
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const std::size_t replica =
-          RankCandidates(queries[q], model).ranked.front().replica_index;
-      result.replica_of[q] = replica;
-      groups[replica].push_back(q);
-    }
-    if (profiling) route_done_ns = obs::MonotonicNanos();
-    for (std::size_t replica = 0; replica < groups.size(); ++replica) {
-      const std::vector<std::size_t>& query_ids = groups[replica];
-      if (query_ids.empty()) continue;
-      std::vector<STRange> group;
-      group.reserve(query_ids.size());
-      for (std::size_t q : query_ids) group.push_back(queries[q]);
-      try {
-        BatchResult batch =
-            ::blot::ExecuteBatch(replicas_[replica], group, pool);
-        for (std::size_t j = 0; j < query_ids.size(); ++j)
-          result.per_query[query_ids[j]] = std::move(batch.per_query[j]);
-        add_stats(batch.stats);
-        result.naive_partition_scans += batch.naive_partition_scans;
-        // Fallback queries are counted by Execute; count the shared-scan
-        // ones here.
-        if (profiling) {
-          static obs::Counter& routed_total =
-              registry.GetCounter("query.routed_total");
-          routed_total.Increment(query_ids.size());
-          registry
-              .GetCounter("query.routed_total",
-                          {{"replica", replicas_[replica].config().Name()}})
-              .Increment(query_ids.size());
-        }
-      } catch (const PartitionFaultError& e) {
-        // The shared scan names its failing partitions: quarantine
-        // exactly those, then answer the group's queries one by one.
-        Fault(replica, e);
-        fallback.insert(fallback.end(), query_ids.begin(), query_ids.end());
-      }
-    }
-    if (profiling) scans_done_ns = obs::MonotonicNanos();
-  }
-
-  for (const std::size_t q : fallback) {
-    RoutedResult routed = Execute(queries[q], model, pool);
-    result.per_query[q] = std::move(routed.result.records);
-    result.replica_of[q] = routed.replica_index;
-    add_stats(routed.result.stats);
-    result.naive_partition_scans += routed.result.stats.partitions_scanned;
-  }
-  const std::uint64_t end_ns = obs::MonotonicNanos();
-  result.measured_ms = double(end_ns - start_ns) * 1e-6;
-
-  if (profiling) {
-    // Batch-level stage breakdown: route = ranking every query, execute =
-    // the shared per-replica scans, failover = the one-by-one retries
-    // (those queries also produced their own full profiles via Execute).
-    obs::QueryProfile& profile = result.profile;
-    profile.AddStage(obs::Stage::kRoute,
-                     double(route_done_ns - start_ns) * 1e-6);
-    profile.AddStage(obs::Stage::kExecute,
-                     double(scans_done_ns - route_done_ns) * 1e-6,
-                     result.stats.bytes_read);
-    if (!fallback.empty())
-      profile.AddStage(obs::Stage::kFailover,
-                       double(end_ns - scans_done_ns) * 1e-6);
-    profile.partitions_touched = result.stats.partitions_scanned;
-    profile.records_scanned = result.stats.records_scanned;
-    profile.cache_hits = result.stats.cache_hits;
-    profile.cache_misses = result.stats.cache_misses;
-    profile.cache_miss_bytes = result.stats.bytes_read;
-    profile.parallel_scan = pool != nullptr;
-    profile.measured_cost_ms = result.measured_ms;
-    profile.total_ms = result.measured_ms;
-  }
-
-  if (profiling) {
-    static obs::Counter& batches_total =
-        registry.GetCounter("query.batches_total");
-    static obs::Counter& batch_queries =
-        registry.GetCounter("query.batch_queries_total");
-    static obs::Counter& partitions_scanned =
-        registry.GetCounter("query.batch_partitions_scanned_total");
-    static obs::Counter& scans_saved =
-        registry.GetCounter("query.batch_shared_scans_saved_total");
-    static obs::Histogram& batch_ms =
-        registry.GetHistogram("query.batch_measured_ms");
-    batches_total.Increment();
-    batch_queries.Increment(queries.size());
-    partitions_scanned.Increment(result.stats.partitions_scanned);
-    scans_saved.Increment(result.naive_partition_scans -
-                          result.stats.partitions_scanned);
-    batch_ms.Observe(result.measured_ms);
-  }
-  return result;
 }
 
 namespace {

@@ -23,7 +23,6 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -178,12 +177,6 @@ class BlotStore {
   const obs::CostDriftMonitor& cost_drift_monitor() const {
     return telemetry_->cost_drift;
   }
-  // The live workload's distance from the reference (0 until enough
-  // queries have been observed to form both).
-  double WorkloadDriftDistance() const;
-  // Installs the current live workload as the drift reference (e.g.
-  // after replica reselection).
-  void RebaseWorkloadReference();
 
   struct RoutedResult {
     QueryResult result;
@@ -260,29 +253,6 @@ class BlotStore {
   // deadline expires without allow_partial.
   RoutedResult Execute(const STRange& query, const CostModel& model,
                        const ExecOptions& options);
-
-  struct RoutedBatchResult {
-    // per_query[i]: records matching queries[i].
-    std::vector<std::vector<Record>> per_query;
-    // replica_of[i]: replica each query was routed to.
-    std::vector<std::size_t> replica_of;
-    QueryStats stats;                   // shared-scan accounting
-    std::size_t naive_partition_scans = 0;
-    double measured_ms = 0.0;           // wall clock of the whole batch
-    // Batch-level stage breakdown (route = routing all queries, execute
-    // = the shared scans; fallback queries profile through Execute).
-    // Populated when the global metrics registry is enabled.
-    obs::QueryProfile profile;
-  };
-
-  // Routes every query to its cheapest healthy replica, then executes
-  // each replica's group as one shared scan (each involved partition
-  // decoded once per replica, blot/batch.h). A group whose shared scan
-  // hits a read fault falls back to per-query failover-aware Execute for
-  // its queries, so one bad storage unit degrades only that group.
-  RoutedBatchResult ExecuteBatch(std::span<const STRange> queries,
-                                 const CostModel& model,
-                                 ThreadPool* pool = nullptr);
 
   // Everything routing decides about a query, computed in one pass so
   // execution doesn't re-derive the winner's cost or involved-partition
@@ -428,6 +398,10 @@ class BlotStore {
   RoutedResult Finish(QueryContext& ctx, RoutedResult routed);
   // Per-policy repair scheduling after a query released the shared lock.
   void MaybeScheduleRepairs(ThreadPool* pool, const FailoverPolicy& policy);
+  // Keeps a background task (a repair, or a hedge loser still running)
+  // for WaitForRepairs and the destructor to drain, first dropping the
+  // parked tasks that have finished.
+  void Park(std::future<void> task);
 
   // Feeds one finished query's profile into the continuous-telemetry
   // consumers (per-stage histograms, cost-drift windows, workload

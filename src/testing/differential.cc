@@ -9,7 +9,6 @@
 #include <sstream>
 #include <utility>
 
-#include "blot/batch.h"
 #include "codec/simd/dispatch.h"
 #include "core/cost_model.h"
 #include "core/partition_cache.h"
@@ -287,7 +286,6 @@ struct Iteration {
       }
     }
 
-    CheckBatch(store, model, queries);
     if (!faults && options.check_failover && configs.size() >= 2)
       CheckFailover(store, model, queries);
     if (faults) FaultInjector::Global().Disarm();
@@ -533,64 +531,6 @@ struct Iteration {
       }
     } catch (const Error& e) {
       Fail("cost-model", query, std::string("threw: ") + e.what());
-    }
-  }
-
-  void CheckBatch(BlotStore& store, const CostModel& model,
-                  const std::vector<STRange>& queries) {
-    if (options.fault_plan.has_value()) {
-      // Store-level batch under faults: the shared scan's per-query
-      // fallback must keep every answer correct when failover is on.
-      ++report.checks_run;
-      try {
-        const BlotStore::RoutedBatchResult batch =
-            store.ExecuteBatch(queries, model);
-        for (std::size_t q = 0; q < queries.size(); ++q) {
-          const RecordDiff diff = DiffRecords(
-              batch.per_query[q], oracle.RangeQuery(queries[q]));
-          if (!diff.empty())
-            Fail("store-batch", queries[q], DescribeDiff(diff));
-        }
-      } catch (const QueryFailedError& e) {
-        if (!options.failover_enabled)
-          Fail("store-batch", queries.empty() ? STRange() : queries[0],
-               std::string("threw: ") + e.what());
-      } catch (const Error& e) {
-        Fail("store-batch", queries.empty() ? STRange() : queries[0],
-             std::string("threw: ") + e.what());
-      }
-      return;
-    }
-    // Single-replica shared scan vs one-at-a-time.
-    for (std::size_t r = 0; r < configs.size(); ++r) {
-      ++report.checks_run;
-      try {
-        const BatchResult batch = ExecuteBatch(store.replica(r), queries);
-        for (std::size_t q = 0; q < queries.size(); ++q) {
-          const RecordDiff diff = DiffRecords(
-              batch.per_query[q], oracle.RangeQuery(queries[q]));
-          if (!diff.empty())
-            Fail("replica-batch[" + configs[r].Name() + "]", queries[q],
-                 DescribeDiff(diff));
-        }
-      } catch (const Error& e) {
-        Fail("replica-batch[" + configs[r].Name() + "]",
-             queries.empty() ? STRange() : queries[0],
-             std::string("threw: ") + e.what());
-      }
-    }
-    ++report.checks_run;
-    try {
-      const BlotStore::RoutedBatchResult batch =
-          store.ExecuteBatch(queries, model);
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        const RecordDiff diff =
-            DiffRecords(batch.per_query[q], oracle.RangeQuery(queries[q]));
-        if (!diff.empty()) Fail("store-batch", queries[q], DescribeDiff(diff));
-      }
-    } catch (const Error& e) {
-      Fail("store-batch", queries.empty() ? STRange() : queries[0],
-           std::string("threw: ") + e.what());
     }
   }
 

@@ -8,10 +8,10 @@
 //
 //   differential — per replica: fused-scan Execute, naive full-decode
 //     scan over all partitions, cache-cold and cache-warm Execute;
-//     store-routed Execute; single-replica and store-routed batch
-//     execution; failover-degraded execution (involved partitions of the
-//     routed replica corrupted) and the self-healed store afterwards —
-//     all must return the oracle's record multiset exactly.
+//     store-routed Execute; failover-degraded execution (involved
+//     partitions of the routed replica corrupted) and the self-healed
+//     store afterwards — all must return the oracle's record multiset
+//     exactly.
 //
 //   metamorphic — relations that must hold without knowing the answer:
 //     splitting a query along an axis and unioning the halves equals the

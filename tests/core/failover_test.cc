@@ -16,7 +16,6 @@
 #include "core/partition_cache.h"
 #include "core/store.h"
 #include "obs/metrics.h"
-#include "testing/oracle.h"
 #include "util/error.h"
 
 namespace blot {
@@ -242,69 +241,6 @@ TEST_F(FailoverTest, RecoveryRefreshesCacheIdentitySoStaleDecodesNeverServe) {
   const BlotStore::RoutedResult routed = store.Execute(query, model);
   EXPECT_EQ(Sorted(routed.result.records),
             Sorted(dataset.FilterByRange(query)));
-}
-
-TEST_F(FailoverTest, BatchSharedScanFallsBackAndStaysCorrect) {
-  BlotStore store = MakeStore();
-  // Repair waits for the explicit sweep below, so the quarantine the
-  // batch leaves behind can be inspected first.
-  FailoverPolicy policy;
-  policy.repair = RepairMode::kNone;
-  store.SetFailoverPolicy(policy);
-  std::vector<STRange> queries;
-  Rng rng(11);
-  for (int i = 0; i < 5; ++i)
-    queries.push_back(SampleQueryInstance(
-        {{universe.Width() * 0.1, universe.Height() * 0.1,
-          universe.Duration() * 0.1}},
-        universe, rng));
-  queries.push_back(universe);
-
-  // Corrupt every other partition of the replica the universe query
-  // routes to: its group's shared scan reads all of them and fails.
-  const std::size_t victim = store.RouteQuery(universe, model);
-  std::vector<std::size_t> corrupted;
-  for (std::size_t p = 0; p < store.replica(victim).NumPartitions(); p += 2) {
-    StoredPartition& unit = store.mutable_replica(victim).MutablePartition(p);
-    if (unit.data.empty()) continue;
-    unit.data[unit.data.size() / 2] ^= 0xFF;
-    corrupted.push_back(p);
-  }
-  ASSERT_FALSE(corrupted.empty());
-
-  const testing::Oracle oracle(dataset);
-  const BlotStore::RoutedBatchResult batch =
-      store.ExecuteBatch(queries, model);
-  ASSERT_EQ(batch.per_query.size(), queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q)
-    EXPECT_EQ(Sorted(batch.per_query[q]),
-              Sorted(oracle.RangeQuery(queries[q])))
-        << "query " << q;
-
-  // The shared scan names its failures: exactly the corrupted partitions
-  // are quarantined, and no healthy partition changed state.
-  for (std::size_t r = 0; r < store.NumReplicas(); ++r) {
-    for (std::size_t p = 0; p < store.replica(r).NumPartitions(); ++p) {
-      const bool bad =
-          r == victim && std::find(corrupted.begin(), corrupted.end(), p) !=
-                             corrupted.end();
-      EXPECT_EQ(store.health().Get(r, p), bad ? PartitionHealth::kQuarantined
-                                              : PartitionHealth::kOk)
-          << "replica " << r << " partition " << p;
-    }
-  }
-
-  // A synchronous repair sweep heals everything, and the next batch
-  // answers from the shared scan again.
-  EXPECT_EQ(store.RepairQuarantined(), corrupted.size());
-  EXPECT_EQ(store.health().QuarantinedCount(), 0u);
-  const BlotStore::RoutedBatchResult healed =
-      store.ExecuteBatch(queries, model);
-  for (std::size_t q = 0; q < queries.size(); ++q)
-    EXPECT_EQ(Sorted(healed.per_query[q]),
-              Sorted(oracle.RangeQuery(queries[q])))
-        << "query " << q;
-  EXPECT_EQ(store.health().QuarantinedCount(), 0u);
 }
 
 // Every path reports one attempt count: RoutedResult::attempts, the

@@ -5,6 +5,8 @@
 // feeding back into routing (docs/robustness.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -189,6 +191,44 @@ TEST(HedgingTest, SingleCandidateFallsBackToPlainExecution) {
   EXPECT_EQ(routed.attempts, 1u);
 }
 
+// Lines of /proc/self/maps; 0 where the file is unavailable.
+std::size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// Every fired hedge leaves a loser still stalled when the query returns.
+// Its std::async thread keeps its stack mapped until the future is
+// destroyed, so finished losers must not pile up in a store that never
+// calls WaitForRepairs (the server does not).
+TEST(HedgingTest, FinishedHedgeLosersDoNotAccumulate) {
+  if (MappingCount() == 0) GTEST_SKIP() << "no /proc/self/maps";
+  const TaxiFixture fixture;
+  BlotStore store = MakeNearPeerStore(fixture.dataset, fixture.universe);
+  const STRange query = fixture.universe;
+  const std::size_t primary =
+      store.RouteQueryDetailed(query, Model()).replica_index;
+  const ScopedInjector injector(
+      StallPlan(20.0, store.replica(primary).config().Name()));
+  BlotStore::ExecOptions exec;
+  exec.hedge_ms = 1.0;
+  const auto run = [&](int queries) {
+    for (int i = 0; i < queries; ++i)
+      ASSERT_TRUE(store.Execute(query, Model(), exec).hedged);
+  };
+  // Warm up to the steady state (thread stack cache, malloc arenas),
+  // then 100 more queries: each would leave at least a stack and its
+  // guard page mapped if finished losers were kept.
+  run(50);
+  const std::size_t steady = MappingCount();
+  run(100);
+  const std::size_t after = MappingCount();
+  EXPECT_LT(after, steady + 50) << "steady " << steady << ", after " << after;
+  store.WaitForRepairs();
+}
+
 TEST(HedgingTest, ObservedStallsFeedBrownoutReroute) {
   const TaxiFixture fixture;
   Dataset dataset = fixture.dataset;
@@ -199,23 +239,37 @@ TEST(HedgingTest, ObservedStallsFeedBrownoutReroute) {
 
   const std::size_t primary =
       store.RouteQueryDetailed(query, Model()).replica_index;
+  const std::size_t backup = 1 - primary;
   const std::string primary_name = store.replica(primary).config().Name();
-  const ScopedInjector injector(StallPlan(30.0, primary_name));
 
   // Phase 1 — hedged: the stalled primary loses every race, and each
   // winning backup attempt teaches the latency map the *healthy* rate.
   // (The primary's EWMA is still cold, so the hedge threshold is the
   // caller's floor, not an average the stalls have already inflated.)
-  BlotStore::ExecOptions exec;
-  exec.hedge_ms = 8.0;
-  for (std::uint64_t i = 0; i < LatencyMap::kMinObservations; ++i) {
-    const BlotStore::RoutedResult routed = store.Execute(query, Model(), exec);
-    EXPECT_TRUE(routed.hedge_backup_won);
-    EXPECT_EQ(Sorted(routed.result.records), expected);
+  // Every partition read of the primary stalls, so its scan outlasts the
+  // backup's by far, however slowly this build decodes.
+  {
+    const ScopedInjector injector(StallPlan(60.0, primary_name));
+    BlotStore::ExecOptions exec;
+    exec.hedge_ms = 8.0;
+    for (std::uint64_t i = 0; i < LatencyMap::kMinObservations; ++i) {
+      const BlotStore::RoutedResult routed =
+          store.Execute(query, Model(), exec);
+      EXPECT_TRUE(routed.hedge_backup_won);
+      EXPECT_EQ(Sorted(routed.result.records), expected);
+    }
+    store.WaitForRepairs();  // the cancelled losers sit out their stall
   }
 
   // Phase 2 — unhedged: the stalled primary now serves to completion
-  // (slowly) and teaches the map its browned-out rate.
+  // (slowly) and teaches the map its browned-out rate. The stall is
+  // scaled to the healthy rate phase 1 measured, which an instrumented
+  // or loaded build makes several times slower, so the primary's rate
+  // clears kBrownoutRatio times the backup's in every build.
+  const double healthy_ms = store.latency().Get(backup).ewma_ms_per_partition;
+  const ScopedInjector injector(StallPlan(
+      std::max(30.0, 2.0 * LatencyMap::kBrownoutRatio * healthy_ms),
+      primary_name));
   for (std::uint64_t i = 0; i < LatencyMap::kMinObservations; ++i) {
     const BlotStore::RoutedResult routed = store.Execute(query, Model());
     EXPECT_EQ(Sorted(routed.result.records), expected);

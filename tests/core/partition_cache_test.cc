@@ -5,14 +5,19 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
-#include "blot/batch.h"
 #include "blot/replica.h"
 #include "common/fixtures.h"
+#include "core/cost_model.h"
+#include "core/store.h"
 #include "core/workload.h"
+#include "simenv/environment.h"
+#include "testing/oracle.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -184,35 +189,52 @@ TEST(PartitionCacheIntegrationTest, CachedExecutionMatchesUncached) {
   EXPECT_GT(s.misses, 0u);  // the first pass must miss
 }
 
-TEST(PartitionCacheIntegrationTest, BatchExecutionMatchesUncached) {
+// The store has one read path; with the cache on, a grid of overlapping
+// queries routed through it decodes each involved partition once, and
+// every later touch of that partition is a hit.
+TEST(PartitionCacheIntegrationTest,
+     OverlappingQueriesDecodeEachPartitionOnce) {
   const Fixture f;
-  const Replica replica = Replica::Build(
-      f.dataset,
-      {{.spatial_partitions = 16, .temporal_partitions = 8},
-       EncodingScheme::FromName("ROW-SNAPPY")},
-      f.universe);
+  BlotStore store = test::MakeStandardStore(f.dataset, f.universe);
+  const CostModel model{EnvironmentModel::LocalHadoop()};
+  const testing::Oracle oracle(f.dataset);
+  // 3x3 windows, each half the universe wide and tall over the middle
+  // half of its duration, stepping by a quarter: neighbours overlap.
+  const STRange& u = f.universe;
   std::vector<STRange> queries;
   for (int gx = 0; gx < 3; ++gx)
-    queries.push_back(STRange::FromBounds(
-        f.universe.x_min() + f.universe.Width() * gx / 3,
-        f.universe.x_min() + f.universe.Width() * (gx + 1) / 3,
-        f.universe.y_min(), f.universe.y_max(), f.universe.t_min(),
-        f.universe.t_max()));
-
-  const BatchResult uncached = ExecuteBatch(replica, queries);
+    for (int gy = 0; gy < 3; ++gy)
+      queries.push_back(STRange::FromBounds(
+          u.x_min() + u.Width() * gx / 4, u.x_min() + u.Width() * (gx + 2) / 4,
+          u.y_min() + u.Height() * gy / 4,
+          u.y_min() + u.Height() * (gy + 2) / 4,
+          u.t_min() + u.Duration() / 4, u.t_min() + u.Duration() * 3 / 4));
 
   GlobalCacheGuard guard(64 << 20);
-  const BatchResult cold = ExecuteBatch(replica, queries);
-  const BatchResult warm = ExecuteBatch(replica, queries);
-  ASSERT_EQ(cold.per_query.size(), uncached.per_query.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_EQ(Sorted(cold.per_query[q]), Sorted(uncached.per_query[q]));
-    EXPECT_EQ(Sorted(warm.per_query[q]), Sorted(uncached.per_query[q]));
+  std::set<std::pair<std::size_t, std::size_t>> distinct;
+  std::uint64_t scanned = 0, hits = 0, misses = 0;
+  for (const STRange& query : queries) {
+    const BlotStore::RoutedResult routed = store.Execute(query, model);
+    EXPECT_EQ(Sorted(routed.result.records), Sorted(oracle.RangeQuery(query)));
+    // What this query scans: the index's partitions whose stored zone
+    // meets the query.
+    const Replica& replica = store.replica(routed.replica_index);
+    std::size_t involved = 0;
+    for (const std::size_t p : replica.index().InvolvedPartitions(query)) {
+      const StoredPartition& unit = replica.partition(p);
+      if (unit.has_zone && !query.Intersects(unit.zone)) continue;
+      distinct.emplace(routed.replica_index, p);
+      ++involved;
+    }
+    EXPECT_EQ(routed.result.stats.partitions_scanned, involved);
+    scanned += routed.result.stats.partitions_scanned;
+    hits += routed.result.stats.cache_hits;
+    misses += routed.result.stats.cache_misses;
   }
-  EXPECT_EQ(cold.stats.cache_misses, cold.stats.partitions_scanned);
-  EXPECT_EQ(warm.stats.cache_hits, warm.stats.partitions_scanned);
-  EXPECT_EQ(warm.stats.bytes_read, 0u);
-  EXPECT_EQ(warm.stats.records_scanned, cold.stats.records_scanned);
+  EXPECT_GT(scanned, distinct.size());  // the queries share partitions
+  EXPECT_EQ(misses, distinct.size());
+  EXPECT_EQ(hits, scanned - distinct.size());
+  EXPECT_EQ(PartitionCache::Global().stats().misses, distinct.size());
 }
 
 TEST(PartitionCacheIntegrationTest, CorruptionAfterCachingIsDetected) {

@@ -1,5 +1,5 @@
 // Store persistence: a saved store is its manifest plus its replicas and
-// nothing else, a loaded store builds, compacts and recovers from its
+// nothing else, a loaded store builds new replicas and recovers from its
 // replicas alone, and version-2 store directories (which also carried a
 // dataset.bin copy of every record) still load whatever that file holds.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "common/fixtures.h"
 #include "core/partial.h"
 #include "core/store.h"
-#include "core/streaming.h"
 #include "gen/taxi_generator.h"
 #include "testing/oracle.h"
 #include "util/bytes.h"
@@ -266,35 +265,6 @@ TEST_F(StorePersistenceTest, LoadedStoreBuildsFromAReadableReplica) {
        EncodingScheme::FromName("ROW-GZIP")});
   EXPECT_EQ(Sorted(loaded.replica(added).Reconstruct().records()),
             Sorted(dataset_.records()));
-}
-
-TEST_F(StorePersistenceTest, StreamingCompactionOverALoadedStore) {
-  TwoReplicaStore().Save(dir_);
-  StreamingStore streaming(BlotStore::Load(dir_), /*compact_threshold=*/0);
-  TaxiFleetConfig later;
-  later.seed = 99;
-  later.num_taxis = 3;
-  later.samples_per_taxi = 100;
-  const Dataset incoming = GenerateTaxiFleet(later);
-  Dataset all = dataset_;
-  for (const Record& r : incoming.records()) {
-    if (!universe_.Contains(r.Position())) continue;
-    streaming.Ingest(r);
-    all.Append(r);
-  }
-  EXPECT_EQ(streaming.TotalRecords(), all.size());
-  streaming.Compact();
-  EXPECT_EQ(streaming.compactions(), 1u);
-  EXPECT_EQ(streaming.DeltaSize(), 0u);
-  EXPECT_EQ(streaming.TotalRecords(), all.size());
-  ASSERT_EQ(streaming.store().NumReplicas(), 2u);
-  for (std::size_t i = 0; i < 2; ++i)
-    EXPECT_EQ(Sorted(streaming.store().replica(i).Reconstruct().records()),
-              Sorted(all.records()));
-  const CostModel model{EnvironmentModel::LocalHadoop()};
-  const STRange query = test::CentroidQuery(universe_, 0.4);
-  EXPECT_EQ(Sorted(streaming.Execute(query, model).result.records),
-            Sorted(all.FilterByRange(query)));
 }
 
 TEST_F(StorePersistenceTest, MissingStoreThrows) {

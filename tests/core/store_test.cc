@@ -106,35 +106,6 @@ TEST(BlotStoreTest, RecoveryRestoresCorruptedReplica) {
   EXPECT_THROW(store.RecoverReplicaFrom(5, a), InvalidArgument);
 }
 
-TEST(BlotStoreTest, BatchExecutionMatchesSingleQueryExecution) {
-  const Fixture f;
-  BlotStore store(f.dataset, f.universe);
-  store.AddReplica({{.spatial_partitions = 2, .temporal_partitions = 2},
-                    EncodingScheme::FromName("ROW-PLAIN")});
-  store.AddReplica({{.spatial_partitions = 32, .temporal_partitions = 8},
-                    EncodingScheme::FromName("ROW-PLAIN")});
-  // A mixed batch: small queries (route fine) and the whole universe
-  // (routes coarse).
-  std::vector<STRange> queries;
-  Rng rng(9);
-  for (int i = 0; i < 6; ++i)
-    queries.push_back(SampleQueryInstance(
-        {{f.universe.Width() * 0.05, f.universe.Height() * 0.05,
-          f.universe.Duration() * 0.05}},
-        f.universe, rng));
-  queries.push_back(f.universe);
-
-  const auto batch = store.ExecuteBatch(queries, f.model);
-  ASSERT_EQ(batch.per_query.size(), queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto single = store.Execute(queries[q], f.model);
-    EXPECT_EQ(batch.replica_of[q], single.replica_index) << "query " << q;
-    EXPECT_EQ(Sorted(batch.per_query[q]), Sorted(single.result.records))
-        << "query " << q;
-  }
-  EXPECT_LE(batch.stats.partitions_scanned, batch.naive_partition_scans);
-}
-
 TEST(BlotStoreTest, ParallelPathsAgreeWithSerial) {
   const Fixture f;
   ThreadPool pool(4);

@@ -128,34 +128,5 @@ TEST_F(RoutingObsTest, DisabledRegistryRecordsNothing) {
   }
 }
 
-TEST_F(RoutingObsTest, BatchExecutionRecordsSharedScanSavings) {
-  BlotStore store = MakeStore();
-  std::vector<STRange> queries;
-  for (int i = 0; i < 4; ++i)
-    queries.push_back(STRange::FromBounds(
-        universe.x_min(), universe.x_max(), universe.y_min(),
-        universe.y_max(), universe.t_min(),
-        universe.t_min() + universe.Duration() * (i + 1) / 4));
-  const auto batch = store.ExecuteBatch(queries, model);
-  EXPECT_GT(batch.measured_ms, 0.0);
-
-  const obs::MetricsSnapshot snap =
-      obs::MetricsRegistry::global().Snapshot();
-  const obs::CounterSnapshot* batches =
-      snap.FindCounter("query.batches_total");
-  ASSERT_NE(batches, nullptr);
-  EXPECT_EQ(batches->value, 1u);
-  const obs::CounterSnapshot* batch_queries =
-      snap.FindCounter("query.batch_queries_total");
-  ASSERT_NE(batch_queries, nullptr);
-  EXPECT_EQ(batch_queries->value, queries.size());
-  // Overlapping time slabs share partition scans, so savings accrue.
-  const obs::CounterSnapshot* saved =
-      snap.FindCounter("query.batch_shared_scans_saved_total");
-  ASSERT_NE(saved, nullptr);
-  EXPECT_EQ(saved->value,
-            batch.naive_partition_scans - batch.stats.partitions_scanned);
-}
-
 }  // namespace
 }  // namespace blot

@@ -4,7 +4,7 @@
 // Each round is one seeded iteration of the differential harness
 // (src/testing/differential.h): an adversarial dataset, a seed-chosen
 // replica set, and every execution path — fused scan, naive scan, cache
-// cold/warm, routed, batched, failover-degraded, self-healed — checked
+// cold/warm, routed, failover-degraded, self-healed — checked
 // against the brute-force oracle, plus the metamorphic relations.
 //
 // On any mismatch it prints a one-line repro command:
