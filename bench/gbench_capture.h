@@ -78,6 +78,17 @@ class CaptureReporter : public benchmark::ConsoleReporter {
     return -1.0;
   }
 
+  // User counter `counter` of the run named exactly `name`, or -1 when
+  // the run or the counter is missing.
+  double Counter(const std::string& name, const std::string& counter) const {
+    for (const Sample& s : samples_) {
+      if (s.name != name) continue;
+      for (const auto& [key, value] : s.counters)
+        if (key == counter) return value;
+    }
+    return -1.0;
+  }
+
   // Every captured run becomes an untracked metric pair
   // `<run>:real_ns` / `<run>:cpu_ns` plus its user counters.
   void Export(BenchReport& report) const {

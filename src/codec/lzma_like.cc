@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 
 #include "codec/lz_common.h"
 #include "codec/range_coder.h"
@@ -23,8 +24,9 @@ struct Model {
   // rep0). Fixed-stride record data repeats distances constantly, so one
   // cheap bit replaces a whole distance encoding.
   BitProb is_rep = kProbInit;
-  // 256 order-1 contexts x 256-leaf literal tree.
-  std::vector<std::vector<BitProb>> literal;
+  // 256 order-1 contexts x 256-leaf literal tree, one flat array;
+  // LiteralTree(prev_byte) selects a context's tree.
+  std::vector<BitProb> literal;
   std::vector<BitProb> length;
   std::vector<BitProb> rep_length;
   std::vector<BitProb> dist_slot;
@@ -32,11 +34,15 @@ struct Model {
   std::vector<BitProb> dist_direct;
 
   Model()
-      : literal(256, std::vector<BitProb>(256, kProbInit)),
+      : literal(256 * 256, kProbInit),
         length(256, kProbInit),
         rep_length(256, kProbInit),
         dist_slot(1u << kNumSlotBits, kProbInit),
         dist_direct(32, kProbInit) {}
+
+  std::span<BitProb> LiteralTree(std::uint8_t prev_byte) {
+    return std::span(literal).subspan(std::size_t{prev_byte} * 256, 256);
+  }
 };
 
 // Distance slot for value = distance - 1: slots 0..3 are the value itself;
@@ -142,7 +148,7 @@ Bytes LzmaLikeCodec::Compress(BytesView input) const {
       prev_byte = input[pos - 1];
     } else {
       rc.EncodeBit(model.is_match, 0);
-      rc.EncodeBitTree(model.literal[prev_byte], 8, input[pos]);
+      rc.EncodeBitTree(model.LiteralTree(prev_byte), 8, input[pos]);
       matcher.Insert(pos);
       prev_byte = input[pos];
       ++pos;
@@ -174,7 +180,7 @@ Bytes LzmaLikeCodec::Decompress(BytesView input) const {
   while (out.size() < expected_size) {
     if (rc.DecodeBit(model.is_match) == 0) {
       prev_byte = static_cast<std::uint8_t>(
-          rc.DecodeBitTree(model.literal[prev_byte], 8));
+          rc.DecodeBitTree(model.LiteralTree(prev_byte), 8));
       out.push_back(prev_byte);
       continue;
     }
@@ -195,6 +201,9 @@ Bytes LzmaLikeCodec::Decompress(BytesView input) const {
     AppendMatch(out, distance, length);
     prev_byte = out.back();
   }
+  // Past the end the decoder reads zeros, which decode as plausible
+  // symbols; a stream that needed them was cut short.
+  validate(!rc.read_past_end(), "LzmaLike: truncated stream");
   return out;
 }
 

@@ -6,8 +6,9 @@
 //   - literals coded through an order-1 context (previous byte) over a
 //     256-leaf bit tree;
 //   - match lengths 3..258 coded through a 256-leaf bit tree;
-//   - distances coded as a 6-bit slot (bit tree) plus direct bits, the
-//     LZMA distance-slot scheme.
+//   - distances coded as a 6-bit slot (bit tree), the LZMA
+//     distance-slot scheme, plus the slot's low bits, each under an
+//     adaptive probability of its own.
 //
 // Frame layout: varint uncompressed size, then the range-coded stream.
 #ifndef BLOT_CODEC_LZMA_LIKE_H_

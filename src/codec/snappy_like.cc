@@ -1,6 +1,7 @@
 #include "codec/snappy_like.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "codec/lz_common.h"
 #include "util/error.h"
@@ -76,35 +77,73 @@ Bytes SnappyLikeCodec::Decompress(BytesView input) const {
   // obeys this bound.
   validate(expected_size <= input.size() * (kMaxMatch / 3 + 1),
            "SnappyLike: implausible declared size");
-  Bytes out;
-  out.reserve(expected_size);
-  while (!in.AtEnd()) {
-    validate(out.size() <= expected_size,
-             "SnappyLike: output exceeds declared size");
-    const std::uint8_t tag = in.GetU8();
+  // The output is written in place through raw pointers: each element
+  // is checked against the input end and the output end before any of
+  // its bytes move, so neither pointer ever leaves its buffer.
+  Bytes out(expected_size);
+  const std::uint8_t* ip = input.data() + in.position();
+  const std::uint8_t* const ip_end = input.data() + input.size();
+  std::uint8_t* const op_begin = out.data();
+  std::uint8_t* op = op_begin;
+  std::uint8_t* const op_end = op_begin + expected_size;
+  while (ip < ip_end) {
+    const std::uint8_t tag = *ip++;
     if ((tag & 3) == 0) {
       std::size_t len = (tag >> 2) + 1;
-      if ((tag >> 2) == 61) {
-        len = std::size_t{in.GetU8()} + 1;
-      } else if ((tag >> 2) == 62) {
-        len = std::size_t{in.GetU16()} + 1;
-      } else {
-        validate((tag >> 2) <= 60, "SnappyLike: bad literal tag");
+      if (len > 61) {
+        // 61/62 select one or two little-endian length bytes.
+        const std::size_t extra = len - 61;
+        validate(extra <= 2, "SnappyLike: bad literal tag");
+        validate(static_cast<std::size_t>(ip_end - ip) >= extra,
+                 "SnappyLike: truncated literal");
+        len = std::size_t{ip[0]} + 1;
+        if (extra == 2) len += std::size_t{ip[1]} << 8;
+        ip += extra;
       }
-      BytesView literal = in.GetBytes(len);
-      out.insert(out.end(), literal.begin(), literal.end());
+      validate(static_cast<std::size_t>(ip_end - ip) >= len,
+               "SnappyLike: truncated literal");
+      validate(static_cast<std::size_t>(op_end - op) >= len,
+               "SnappyLike: output exceeds declared size");
+      // A short literal moves as one fixed 16-byte block when both
+      // buffers have room; the bytes past `len` are overwritten later.
+      if (len <= 16 && ip_end - ip >= 16 && op_end - op >= 16)
+        std::memcpy(op, ip, 16);
+      else
+        std::memcpy(op, ip, len);
+      ip += len;
+      op += len;
     } else if ((tag & 3) == 2) {
+      validate(ip_end - ip >= 2, "SnappyLike: truncated copy");
       const std::size_t len = (tag >> 2) + kMinMatch;
-      const std::size_t distance = in.GetU16();
-      validate(distance >= 1 && distance <= out.size(),
+      const std::size_t distance = std::size_t{ip[0]} |
+                                   (std::size_t{ip[1]} << 8);
+      ip += 2;
+      validate(distance >= 1 &&
+                   distance <= static_cast<std::size_t>(op - op_begin),
                "SnappyLike: copy distance out of range");
-      AppendMatch(out, distance, len);
+      validate(static_cast<std::size_t>(op_end - op) >= len,
+               "SnappyLike: output exceeds declared size");
+      const std::uint8_t* src = op - distance;
+      if (distance >= 16 && op_end - op >= kMaxMatch + 16) {
+        // Forward 16-byte blocks: each block reads only bytes written
+        // before it, so this is also right when the copy overlaps its
+        // source. It may write up to 15 bytes past `len`, inside the
+        // slack just checked; later elements overwrite them.
+        for (std::size_t i = 0; i < len; i += 16)
+          std::memcpy(op + i, src + i, 16);
+      } else if (distance >= len) {
+        std::memcpy(op, src, len);
+      } else {
+        // Overlapping copy: forward byte order repeats the last
+        // `distance` bytes, as LZ77 requires.
+        for (std::size_t i = 0; i < len; ++i) op[i] = src[i];
+      }
+      op += len;
     } else {
       throw CorruptData("SnappyLike: unknown tag");
     }
   }
-  validate(out.size() == expected_size,
-           "SnappyLike: size mismatch after decompression");
+  validate(op == op_end, "SnappyLike: size mismatch after decompression");
   return out;
 }
 

@@ -18,12 +18,16 @@
 //     corruption, and quarantining a slow-but-alive replica would
 //     *reduce* the diversity the paper's recovery argument relies on.
 //
-// The penalty is deliberately conservative: it needs a minimum number
-// of observations per replica and only kicks in past a generous
-// slowness ratio, so honest speed differences between encodings (a few
-// x between e.g. ROW-SNAPPY and COL-LZMA) never override the cost
-// model — only genuine brownouts (injected or real latency faults, an
-// order of magnitude and up) do.
+// The penalty needs a minimum number of observations per replica and
+// only kicks in past kBrownoutRatio. That ratio is meant to sit above
+// honest speed differences between encodings, but it does not: per
+// record, ROW-SNAPPY partitions decode about 20x faster than COL-LZMA
+// ones (bench/micro_codec BM_DecodePartition, 16 vs 0.74 Mrec/s on a
+// 4-vCPU x86-64 host). With partitions of equal record counts a healthy
+// COL-LZMA replica reads about 25x slower per partition than a
+// ROW-SNAPPY peer and is priced at kMaxPenalty, overriding the cost
+// model just as a genuine brownout (injected or real latency faults, an
+// order of magnitude and up) does.
 //
 // Internally synchronized; attempts observe concurrently from the
 // serving layer's request workers.

@@ -45,19 +45,20 @@ EnvironmentModel EnvironmentModel::LocalHadoop() {
 }
 
 EnvironmentModel EnvironmentModel::CpuBoundLocal() {
-  // ms per thousand records, from bench/micro_codec DecodePartition
-  // throughputs (ROW-PLAIN assumes memory-bandwidth deserialization);
-  // ExtraTime is a couple of ms of open/seek per storage unit.
+  // ms per thousand records: the inverse of bench/micro_codec's
+  // BM_DecodePartition records/s (median of five Release runs on a
+  // 4-vCPU x86-64 host); ExtraTime is a couple of ms of open/seek per
+  // storage unit.
   return EnvironmentModel(
       "cpu-bound-local",
       {
-          {"ROW-PLAIN", {0.05, 2.0}},
-          {"ROW-SNAPPY", {0.13, 2.0}},
-          {"COL-SNAPPY", {0.35, 2.0}},
-          {"ROW-GZIP", {0.55, 2.0}},
-          {"COL-GZIP", {0.41, 2.0}},
-          {"ROW-LZMA", {1.35, 2.0}},
-          {"COL-LZMA", {1.22, 2.0}},
+          {"ROW-PLAIN", {0.028, 2.0}},
+          {"ROW-SNAPPY", {0.062, 2.0}},
+          {"COL-SNAPPY", {0.061, 2.0}},
+          {"ROW-GZIP", {0.25, 2.0}},
+          {"COL-GZIP", {0.19, 2.0}},
+          {"ROW-LZMA", {1.56, 2.0}},
+          {"COL-LZMA", {1.35, 2.0}},
       });
 }
 

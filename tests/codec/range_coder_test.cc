@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "util/rng.h"
@@ -38,21 +39,28 @@ TEST(RangeCoderTest, SkewedBitsCompressBelowOneBitPerSymbol) {
   EXPECT_LT(buf.size() * 8, kN / 2);
 }
 
-TEST(RangeCoderTest, DirectBitsRoundTrip) {
-  Rng rng(3);
-  std::vector<std::pair<std::uint32_t, int>> writes;
+// The decoder normalizes once per bit on the strength of the bounds
+// [kProbMin, kProbMax] (range_coder.h); long runs of one bit drive a
+// probability onto each bound and no further.
+TEST(RangeCoderTest, ProbabilitiesSaturateAtTheirBounds) {
+  std::vector<std::uint32_t> bits(3000, 0);
+  bits.insert(bits.end(), 3000, 1);
   RangeEncoder enc;
-  for (int i = 0; i < 5000; ++i) {
-    const int count = 1 + static_cast<int>(rng.NextUint64(24));
-    const std::uint32_t value =
-        static_cast<std::uint32_t>(rng()) & ((1u << count) - 1);
-    writes.emplace_back(value, count);
-    enc.EncodeDirectBits(value, count);
+  BitProb p_enc = kProbInit;
+  BitProb lo = p_enc, hi = p_enc;
+  for (std::uint32_t b : bits) {
+    enc.EncodeBit(p_enc, b);
+    lo = std::min(lo, p_enc);
+    hi = std::max(hi, p_enc);
   }
+  EXPECT_EQ(hi, kProbMax);
+  EXPECT_EQ(lo, kProbMin);
   const Bytes buf = enc.Finish();
   RangeDecoder dec(buf);
-  for (const auto& [value, count] : writes)
-    ASSERT_EQ(dec.DecodeDirectBits(count), value);
+  BitProb p_dec = kProbInit;
+  for (std::uint32_t b : bits) ASSERT_EQ(dec.DecodeBit(p_dec), b);
+  EXPECT_EQ(p_enc, p_dec);
+  EXPECT_FALSE(dec.read_past_end());
 }
 
 TEST(RangeCoderTest, BitTreeRoundTrip) {
@@ -80,22 +88,18 @@ TEST(RangeCoderTest, MixedOperationsRoundTrip) {
   std::vector<BitProb> dec_tree(64, kProbInit);
   BitProb enc_bit = kProbInit, dec_bit = kProbInit;
   struct Op {
-    int kind;  // 0 bit, 1 direct, 2 tree
+    int kind;  // 0 bit, 1 tree
     std::uint32_t value;
   };
   std::vector<Op> ops;
   RangeEncoder enc;
   for (int i = 0; i < 10000; ++i) {
     Op op;
-    op.kind = static_cast<int>(rng.NextUint64(3));
+    op.kind = static_cast<int>(rng.NextUint64(2));
     switch (op.kind) {
       case 0:
         op.value = rng.NextBool(0.7) ? 1 : 0;
         enc.EncodeBit(enc_bit, op.value);
-        break;
-      case 1:
-        op.value = static_cast<std::uint32_t>(rng.NextUint64(1u << 16));
-        enc.EncodeDirectBits(op.value, 16);
         break;
       default:
         op.value = static_cast<std::uint32_t>(rng.NextUint64(64));
@@ -110,9 +114,6 @@ TEST(RangeCoderTest, MixedOperationsRoundTrip) {
     switch (op.kind) {
       case 0:
         ASSERT_EQ(dec.DecodeBit(dec_bit), op.value);
-        break;
-      case 1:
-        ASSERT_EQ(dec.DecodeDirectBits(16), op.value);
         break;
       default:
         ASSERT_EQ(dec.DecodeBitTree(dec_tree, 6), op.value);
